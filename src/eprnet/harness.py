@@ -219,15 +219,20 @@ def run_placement_sweep(config: ExperimentConfig,
     references: list[tuple[float, float]] = []
     for loss_idx, wss in enumerate(config.wss_losses):
         loss = LossParams(config.fiber_loss_db_per_km, wss)
+        # Every placement is routed once per loss value; the normalization
+        # reference and the swept sources share these tables.
+        tables = {
+            node: all_pair_routes(build_routing_graph(
+                topology, node, loss, exclude_u_turns=config.exclude_u_turns))
+            for node in topology.node_ids
+        }
         reference = normalization_reference(
             topology, loss, grid, profile,
-            exclude_u_turns=config.exclude_u_turns,
+            exclude_u_turns=config.exclude_u_turns, tables=tables,
         )
         references.append((wss, reference))
         for source_idx, source in enumerate(sources):
-            graph = build_routing_graph(topology, source, loss,
-                                        exclude_u_turns=config.exclude_u_turns)
-            table = all_pair_routes(graph)
+            table = tables[source]
             if table.infeasible:
                 rows.extend(
                     _blank_row(topology.name, wss, source, strategy,

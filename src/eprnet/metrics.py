@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .netgraph import LossParams, PhysicalTopology, build_routing_graph
-from .routing import all_pair_routes
+from .routing import RouteTable, all_pair_routes
 from .spectrum import ChannelGrid, SpectrumProfile, generation_rates
 
 logger = logging.getLogger(__name__)
@@ -60,6 +60,7 @@ def normalization_reference(
     profile: SpectrumProfile,
     *,
     exclude_u_turns: bool = False,
+    tables: Mapping[str, RouteTable] | None = None,
 ) -> float:
     """Whole-spectrum rate of the worst pair under the worst placement.
 
@@ -67,13 +68,23 @@ def normalization_reference(
     multiplied by the total generation rate; the minimum over pairs and
     placements is the reference.  Placements with unroutable pairs are
     skipped with a warning.
+
+    ``tables`` passes in route tables that are already computed, keyed by
+    source.  They must cover every node id of the topology and have been
+    routed with the same ``loss`` and ``exclude_u_turns``.  Without them
+    every placement is routed here.
     """
     total_rate = generation_rates(grid, profile).total
     reference = None
     for source in topology.node_ids:
-        graph = build_routing_graph(topology, source, loss,
-                                    exclude_u_turns=exclude_u_turns)
-        table = all_pair_routes(graph)
+        if tables is None:
+            graph = build_routing_graph(topology, source, loss,
+                                        exclude_u_turns=exclude_u_turns)
+            table = all_pair_routes(graph)
+        elif source in tables:
+            table = tables[source]
+        else:
+            raise MetricsError(f"tables has no route table for source {source!r}")
         if table.infeasible:
             logger.warning(
                 "normalization: skipping source %s (%d unroutable pairs)",

@@ -60,12 +60,15 @@ class LossParams:
     wss_loss_db: float = 8.0
 
     def __post_init__(self) -> None:
-        if self.fiber_loss_db_per_km < 0:
+        if not 0 <= self.fiber_loss_db_per_km < math.inf:
             raise ValueError(
-                f"fiber_loss_db_per_km must be >= 0, got {self.fiber_loss_db_per_km}"
+                "fiber_loss_db_per_km must be finite and >= 0, "
+                f"got {self.fiber_loss_db_per_km}"
             )
-        if self.wss_loss_db < 0:
-            raise ValueError(f"wss_loss_db must be >= 0, got {self.wss_loss_db}")
+        if not 0 <= self.wss_loss_db < math.inf:
+            raise ValueError(
+                f"wss_loss_db must be finite and >= 0, got {self.wss_loss_db}"
+            )
 
 
 @dataclass(frozen=True)
@@ -137,13 +140,25 @@ def _require_keys(obj: dict, allowed: set[str], required: Iterable[str], what: s
             raise TopologyError(f"{what} missing required key {key!r}")
 
 
+def _optional_km(entry: dict, key: str, what: str) -> float | None:
+    """A finite real number, or None when the key is absent or null."""
+    value = entry.get(key)
+    if value is None:
+        return None
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise TopologyError(f"{what} {key} must be a finite number, got {value!r}")
+    return value
+
+
 def topology_from_dict(doc: dict[str, Any]) -> PhysicalTopology:
     """Build and validate a topology from a parsed JSON document.
 
     Accepted schema: top-level ``name``, ``nodes`` (objects with ``id``
     and optional ``x_km``/``y_km``), ``links`` (objects with ``a``, ``b``
     and optional ``distance_km``), plus an optional free-text
-    ``provenance`` note.  Anything else is rejected.
+    ``provenance`` note.  Lengths and coordinates must be finite numbers.
+    Anything else is rejected.
     """
     if not isinstance(doc, dict):
         raise TopologyError("topology document must be a JSON object")
@@ -153,13 +168,17 @@ def topology_from_dict(doc: dict[str, Any]) -> PhysicalTopology:
         if not isinstance(entry, dict):
             raise TopologyError("node entries must be objects")
         _require_keys(entry, _ALLOWED_NODE_KEYS, ("id",), "node")
-        nodes.append(Node(str(entry["id"]), entry.get("x_km"), entry.get("y_km")))
+        what = f"node {entry['id']}"
+        nodes.append(Node(str(entry["id"]), _optional_km(entry, "x_km", what),
+                          _optional_km(entry, "y_km", what)))
     links = []
     for entry in doc["links"]:
         if not isinstance(entry, dict):
             raise TopologyError("link entries must be objects")
         _require_keys(entry, _ALLOWED_LINK_KEYS, ("a", "b"), "link")
-        links.append(Link(str(entry["a"]), str(entry["b"]), entry.get("distance_km")))
+        what = f"link {entry['a']}-{entry['b']}"
+        links.append(Link(str(entry["a"]), str(entry["b"]),
+                          _optional_km(entry, "distance_km", what)))
     return PhysicalTopology(str(doc["name"]), tuple(nodes), tuple(links))
 
 
@@ -246,12 +265,6 @@ class RoutingGraph:
     source: str
     vertices: tuple[Vertex, ...]
     edges: tuple[GraphEdge, ...]
-
-    def out_adjacency(self) -> dict[Vertex, list[int]]:
-        adj: dict[Vertex, list[int]] = {v: [] for v in self.vertices}
-        for idx, edge in enumerate(self.edges):
-            adj[edge.tail].append(idx)
-        return adj
 
 
 def build_routing_graph(

@@ -4,8 +4,30 @@ Both photons of an entangled pair leave the generator together, so serving
 the node pair (i, j) means finding two edge-disjoint directed paths in the
 port-level loss graph: one from the generator to i's memory and one to j's
 memory.  A joint minimum-total-loss pair of paths is found with Suurballe's
-algorithm after funneling both memories into a shared dummy terminal with
+algorithm after funneling both memories into a shared terminal with
 zero-weight edges.
+
+One first pass serves every pair of a placement.  Suurballe's first
+Dijkstra runs from the generator, and the terminal's only in-edges are
+the two zero-weight memory edges, so the terminal adds no vertex to any
+other shortest path: the distances and the shortest-path tree are the
+same for every pair (Suurballe & Tarjan, Networks 14, 1984, share one
+tree across destinations the same way).  The terminal's own first-pass
+predecessor is the pair's memory that Dijkstra pops first.  So the loss
+graph is compiled into integer arrays once, the first pass and every
+edge's reduced cost are computed once per placement, and each pair runs
+only the second pass.  The terminal is never materialized: the second
+pass reaches it only through the other memory, so it stops when that
+memory is popped.
+
+Tie rules, which fix the routes exactly and not just their losses:
+
+* Dijkstra's heap orders ties by (distance, insertion counter), and each
+  vertex relaxes its out-edges in edge-id order;
+* in the second pass, the reversed first-path edge out of a vertex comes
+  after its real edges;
+* the splice walks the combined edge set from the generator twice, always
+  taking the smallest edge id out of the current vertex.
 
 Infeasibility (no two edge-disjoint paths exist) is reported as a value,
 not an exception, because source-placement sweeps probe many placements
@@ -22,6 +44,9 @@ from typing import Hashable, Sequence
 from .netgraph import RoutingGraph, gen_vertex, mem_vertex, transmittance
 
 EdgeTriple = tuple[Hashable, Hashable, float]
+# (edge marker, head, weight); a marker is an edge id, or ~eid for the
+# reversal of first-path edge eid.
+_Arc = tuple[int, int, float]
 
 
 class RoutingError(ValueError):
@@ -57,47 +82,143 @@ class RouteTable:
     infeasible: tuple[tuple[str, str], ...]
 
 
-def _dijkstra(
-    adjacency: dict[Hashable, list[int]],
-    edges: Sequence[EdgeTriple],
-    start: Hashable,
-) -> tuple[dict[Hashable, float], dict[Hashable, int]]:
-    """Shortest distances and predecessor edge ids from ``start``.
+def _dijkstra(adjacency: Sequence[Sequence[_Arc]], start: int, stop: int = -1
+              ) -> tuple[list[float], list[int], list[int]]:
+    """Distances, predecessor markers and pop order from ``start``.
 
-    Deterministic: the heap orders ties by insertion counter, and edges
-    are relaxed in id order, so reruns produce identical trees.
+    Stops right after popping ``stop``; by then the predecessor chain of
+    every popped vertex is final.
     """
-    dist: dict[Hashable, float] = {start: 0.0}
-    pred: dict[Hashable, int] = {}
+    n = len(adjacency)
+    dist = [math.inf] * n
+    pred = [0] * n
+    done = [False] * n
+    order: list[int] = []
+    dist[start] = 0.0
     counter = 0
-    heap: list[tuple[float, int, Hashable]] = [(0.0, counter, start)]
-    done: set[Hashable] = set()
+    heap: list[tuple[float, int, int]] = [(0.0, counter, start)]
     while heap:
         d, _, u = heappop(heap)
-        if u in done:
+        if done[u]:
             continue
-        done.add(u)
-        for eid in adjacency.get(u, ()):
-            _, head, weight = edges[eid][0], edges[eid][1], edges[eid][2]
+        done[u] = True
+        order.append(u)
+        if u == stop:
+            break
+        for marker, head, weight in adjacency[u]:
             nd = d + weight
-            if head not in dist or nd < dist[head]:
+            if nd < dist[head]:
                 dist[head] = nd
-                pred[head] = eid
+                pred[head] = marker
                 counter += 1
                 heappush(heap, (nd, counter, head))
-    return dist, pred
+    return dist, pred, order
 
 
-def _backtrack(pred: dict[Hashable, int], edges: Sequence[EdgeTriple],
-               start: Hashable, end: Hashable) -> list[int]:
-    path: list[int] = []
-    node = end
-    while node != start:
-        eid = pred[node]
-        path.append(eid)
-        node = edges[eid][0]
-    path.reverse()
-    return path
+class _Placement:
+    """A compiled loss graph and its first Suurballe pass from ``src``.
+
+    Vertices are 0..n-1 and edges keep their ids.  ``route(end_a, end_b)``
+    answers one terminal query: the terminal has a zero-weight in-edge
+    from ``end_a`` (id m) and one from ``end_b`` (id m+1), where m is the
+    number of real edges.  A single destination ``dst`` is the query
+    ``(dst, dst)``.
+    """
+
+    def __init__(self, n: int, tails: Sequence[int], heads: Sequence[int],
+                 weights: Sequence[float], src: int) -> None:
+        for eid, weight in enumerate(weights):
+            if not 0.0 <= weight < math.inf:
+                raise RoutingError(f"edge {eid} has invalid weight {weight}")
+        adjacency: list[list[_Arc]] = [[] for _ in range(n)]
+        for eid, (tail, head, weight) in enumerate(zip(tails, heads, weights)):
+            adjacency[tail].append((eid, head, weight))
+        dist, pred, order = _dijkstra(adjacency, src)
+        rank = [n] * n  # n marks an unreached vertex
+        for pos, v in enumerate(order):
+            rank[v] = pos
+        # Reduced costs of the edges between first-pass-reached vertices.
+        reduced: list[list[_Arc]] = [[] for _ in range(n)]
+        for eid, (tail, head, weight) in enumerate(zip(tails, heads, weights)):
+            if dist[tail] < math.inf and dist[head] < math.inf:
+                reduced[tail].append(
+                    (eid, head, max(0.0, weight + dist[tail] - dist[head])))
+        self.tails, self.heads, self.src = tails, heads, src
+        self.edge_count = len(tails)
+        self.pred, self.rank, self.reduced = pred, rank, reduced
+
+    def _backtrack(self, pred: Sequence[int], end: int) -> list[int]:
+        path: list[int] = []
+        node = end
+        while node != self.src:
+            marker = pred[node]
+            path.append(marker)
+            node = self.tails[marker] if marker >= 0 else self.heads[~marker]
+        path.reverse()
+        return path
+
+    def route(self, end_a: int, end_b: int
+              ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """Disjoint paths ending at ``end_a`` and ``end_b``, or None."""
+        ends = (end_a, end_b)
+        if max(self.rank[end_a], self.rank[end_b]) == len(self.rank):
+            return None  # a terminal edge's tail is unreachable
+        k_first = 0 if self.rank[end_a] <= self.rank[end_b] else 1
+        first = self._backtrack(self.pred, ends[k_first])
+
+        # Second pass: drop first-path edges, append their reversals.
+        adjacency = self.reduced.copy()
+        for eid in first:
+            tail, head = self.tails[eid], self.heads[eid]
+            adjacency[tail] = [arc for arc in adjacency[tail] if arc[0] != eid]
+            adjacency[head] = adjacency[head] + [(~eid, tail, 0.0)]
+        k_other = 1 - k_first
+        _, pred2, order2 = _dijkstra(adjacency, self.src, stop=ends[k_other])
+        if order2[-1] != ends[k_other]:
+            return None
+        second = self._backtrack(pred2, ends[k_other])
+
+        # Cancel first-path edges traversed backwards, keep the rest, then
+        # split the union into two walks to the terminal, always taking
+        # the smallest available edge id.
+        combined = set(first)
+        for marker in second:
+            if marker < 0:
+                combined.discard(~marker)
+            else:
+                combined.add(marker)
+        m = self.edge_count
+        by_tail: dict[int, list[int]] = {}
+        for eid in sorted(combined):
+            by_tail.setdefault(self.tails[eid], []).append(eid)
+        for k in (0, 1):
+            by_tail.setdefault(ends[k], []).append(m + k)
+        bodies: list[tuple[int, ...]] = [(), ()]
+        for _ in range(2):
+            walk: list[int] = []
+            node = self.src
+            while True:
+                bucket = by_tail.get(node)
+                if not bucket:
+                    raise RoutingError("internal error: disjoint-pair splice failed")
+                eid = bucket.pop(0)
+                if eid >= m:
+                    bodies[eid - m] = tuple(walk)
+                    break
+                walk.append(eid)
+                node = self.heads[eid]
+        return bodies[0], bodies[1]
+
+
+def _compile_graph(graph: RoutingGraph) -> tuple[_Placement, dict[Hashable, int]]:
+    index = {v: pos for pos, v in enumerate(graph.vertices)}
+    try:
+        tails = [index[e.tail] for e in graph.edges]
+        heads = [index[e.head] for e in graph.edges]
+    except KeyError as exc:
+        raise RoutingError(f"edge endpoint {exc.args[0]!r} is not a vertex") from None
+    weights = [e.weight_db for e in graph.edges]
+    return _Placement(len(index), tails, heads, weights, index[gen_vertex()]), index
 
 
 def suurballe_disjoint_pair(
@@ -109,7 +230,7 @@ def suurballe_disjoint_pair(
 
     Args:
         edges: directed multigraph as (tail, head, weight) triples with
-            weight >= 0; the triple's position is its edge id.
+            finite weight >= 0; the triple's position is its edge id.
         src: start vertex.
         dst: end vertex, distinct from ``src``.
 
@@ -123,74 +244,28 @@ def suurballe_disjoint_pair(
     """
     if src == dst:
         raise RoutingError("src and dst must differ")
-    for eid, (_, _, w) in enumerate(edges):
-        if w < 0 or math.isnan(w):
-            raise RoutingError(f"edge {eid} has invalid weight {w}")
-
-    adjacency: dict[Hashable, list[int]] = {}
-    for eid, (tail, _, _) in enumerate(edges):
-        adjacency.setdefault(tail, []).append(eid)
-
-    dist, pred = _dijkstra(adjacency, edges, src)
-    if dst not in dist:
+    index: dict[Hashable, int] = {src: 0}
+    tails = [index.setdefault(tail, len(index)) for tail, _, _ in edges]
+    heads = [index.setdefault(head, len(index)) for _, head, _ in edges]
+    weights = [weight for _, _, weight in edges]
+    placement = _Placement(len(index), tails, heads, weights, 0)
+    if dst not in index:
         return None
-    first_path = _backtrack(pred, edges, src, dst)
-    on_first = set(first_path)
-
-    # Second pass on reduced costs, with first-path edges reversed.
-    # Synthetic reversal ids live past the real range and map back to the
-    # edge they undo.
-    red_edges: list[EdgeTriple] = []
-    red_ids: list[int] = []  # real edge id, or -(eid+1) for a reversal
-    for eid, (tail, head, weight) in enumerate(edges):
-        if eid in on_first:
-            continue
-        if tail not in dist or head not in dist:
-            continue
-        reduced = weight + dist[tail] - dist[head]
-        red_edges.append((tail, head, max(0.0, reduced)))
-        red_ids.append(eid)
-    for eid in first_path:
-        tail, head, _ = edges[eid]
-        red_edges.append((head, tail, 0.0))
-        red_ids.append(-(eid + 1))
-
-    red_adj: dict[Hashable, list[int]] = {}
-    for pos, (tail, _, _) in enumerate(red_edges):
-        red_adj.setdefault(tail, []).append(pos)
-    dist2, pred2 = _dijkstra(red_adj, red_edges, src)
-    if dst not in dist2:
+    result = placement.route(index[dst], index[dst])
+    if result is None:
         return None
-    second_raw = _backtrack(pred2, red_edges, src, dst)
+    total = math.fsum(weights[eid] for path in result for eid in path)
+    return DisjointPair(result[0], result[1], total)
 
-    # Cancel first-path edges traversed backwards, keep the rest.
-    combined = set(first_path)
-    for pos in second_raw:
-        marker = red_ids[pos]
-        if marker < 0:
-            combined.discard(-marker - 1)
-        else:
-            combined.add(marker)
 
-    # Split the combined edge set into two paths by walking from src twice,
-    # always taking the smallest available edge id.
-    by_tail: dict[Hashable, list[int]] = {}
-    for eid in sorted(combined):
-        by_tail.setdefault(edges[eid][0], []).append(eid)
-    paths: list[tuple[int, ...]] = []
-    for _ in range(2):
-        walk: list[int] = []
-        node = src
-        while node != dst:
-            bucket = by_tail.get(node)
-            if not bucket:
-                raise RoutingError("internal error: disjoint-pair splice failed")
-            eid = bucket.pop(0)
-            walk.append(eid)
-            node = edges[eid][1]
-        paths.append(tuple(walk))
-    total = math.fsum(edges[eid][2] for path in paths for eid in path)
-    return DisjointPair(paths[0], paths[1], total)
+def _plan(graph: RoutingGraph, placement: _Placement,
+          index: dict[Hashable, int], a: str, b: str) -> RoutePlan | None:
+    result = placement.route(index[mem_vertex(a)], index[mem_vertex(b)])
+    if result is None:
+        return None
+    total = math.fsum(graph.edges[eid].weight_db for path in result for eid in path)
+    return RoutePlan(pair=(a, b), path_a=result[0], path_b=result[1],
+                     total_loss_db=total, eta=transmittance(total))
 
 
 def pair_route(graph: RoutingGraph, i: str, j: str) -> RoutePlan | None:
@@ -201,58 +276,30 @@ def pair_route(graph: RoutingGraph, i: str, j: str) -> RoutePlan | None:
     """
     if i == j:
         raise RoutingError("a pair needs two distinct nodes")
-    vset = set(graph.vertices)
+    placement, index = _compile_graph(graph)
     for node in (i, j):
-        if mem_vertex(node) not in vset:
+        if mem_vertex(node) not in index:
             raise RoutingError(f"unknown node {node!r}")
     a, b = sorted((i, j))
-    dummy = ("dummy",)
-    edges: list[EdgeTriple] = [
-        (e.tail, e.head, e.weight_db) for e in graph.edges
-    ]
-    edges.append((mem_vertex(a), dummy, 0.0))
-    edges.append((mem_vertex(b), dummy, 0.0))
-
-    result = suurballe_disjoint_pair(edges, gen_vertex(), dummy)
-    if result is None:
-        return None
-
-    n_real = len(graph.edges)
-    stripped: dict[Hashable, tuple[int, ...]] = {}
-    for path in (result.first, result.second):
-        if not path or path[-1] < n_real:
-            raise RoutingError("internal error: path does not end at a memory")
-        body = path[:-1]
-        end_mem = edges[path[-1]][0]
-        stripped[end_mem] = tuple(body)
-    if set(stripped) != {mem_vertex(a), mem_vertex(b)}:
-        raise RoutingError("internal error: paths must end at distinct memories")
-
-    total = math.fsum(
-        graph.edges[eid].weight_db for body in stripped.values() for eid in body
-    )
-    return RoutePlan(
-        pair=(a, b),
-        path_a=stripped[mem_vertex(a)],
-        path_b=stripped[mem_vertex(b)],
-        total_loss_db=total,
-        eta=transmittance(total),
-    )
+    return _plan(graph, placement, index, a, b)
 
 
 def all_pair_routes(graph: RoutingGraph) -> RouteTable:
-    """Route every unordered node pair; collect the unservable ones."""
-    nodes = sorted({v[1] for v in graph.vertices if v[0] == "mem"})
+    """Route every unordered node pair; collect the unservable ones.
+
+    The graph is compiled and its first pass run once for all pairs.
+    """
+    placement, index = _compile_graph(graph)
+    nodes = sorted(v[1] for v in graph.vertices if v[0] == "mem")
     plans: dict[tuple[str, str], RoutePlan] = {}
     infeasible: list[tuple[str, str]] = []
-    for ai in range(len(nodes)):
-        for bi in range(ai + 1, len(nodes)):
-            pair = (nodes[ai], nodes[bi])
-            plan = pair_route(graph, *pair)
+    for ai, a in enumerate(nodes):
+        for b in nodes[ai + 1:]:
+            plan = _plan(graph, placement, index, a, b)
             if plan is None:
-                infeasible.append(pair)
+                infeasible.append((a, b))
             else:
-                plans[pair] = plan
+                plans[(a, b)] = plan
     return RouteTable(graph.source, plans, tuple(infeasible))
 
 

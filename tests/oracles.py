@@ -2,7 +2,9 @@
 
 Everything here is written against the problem statements, not against
 the library internals, so agreement between the two is evidence of
-correctness rather than of shared bugs.
+correctness rather than of shared bugs.  The exception is the pinned
+per-pair router at the end: it is the library's earlier, simpler router,
+kept to hold the faster one to the very same routes.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import heapq
 import math
 from typing import Hashable, Sequence
+
+from eprnet import RoutePlan, RouteTable, RoutingGraph, gen_vertex, mem_vertex, transmittance
 
 EdgeTriple = tuple[Hashable, Hashable, float]
 
@@ -216,3 +220,127 @@ def lp_fractional_search(etas: Sequence[float], rates: Sequence[float],
         if hi - lo <= rel_tol * max(hi, 1.0):
             break
     return lo / scale
+
+
+# --- pinned per-pair router ------------------------------------------------
+#
+# Tuple vertices, a materialized dummy terminal, and both Suurballe passes
+# rerun for every pair.  It is slow but simple, and it fixes every tie
+# rule, so the shared first-pass router must return the very same paths,
+# not just the totals.
+
+
+def _ref_dijkstra(adjacency, edges, start):
+    dist = {start: 0.0}
+    pred = {}
+    counter = 0
+    heap = [(0.0, counter, start)]
+    done = set()
+    while heap:
+        d, _, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        for eid in adjacency.get(u, ()):
+            head, weight = edges[eid][1], edges[eid][2]
+            nd = d + weight
+            if head not in dist or nd < dist[head]:
+                dist[head] = nd
+                pred[head] = eid
+                counter += 1
+                heapq.heappush(heap, (nd, counter, head))
+    return dist, pred
+
+
+def _ref_backtrack(pred, edges, start, end):
+    path = []
+    node = end
+    while node != start:
+        eid = pred[node]
+        path.append(eid)
+        node = edges[eid][0]
+    path.reverse()
+    return path
+
+
+def reference_suurballe(edges, src, dst):
+    """Both src->dst paths as edge-id tuples (walk order), or None."""
+    adjacency = {}
+    for eid, (tail, _, _) in enumerate(edges):
+        adjacency.setdefault(tail, []).append(eid)
+    dist, pred = _ref_dijkstra(adjacency, edges, src)
+    if dst not in dist:
+        return None
+    first_path = _ref_backtrack(pred, edges, src, dst)
+    on_first = set(first_path)
+
+    red_edges = []
+    red_ids = []  # real edge id, or -(eid+1) for a reversal
+    for eid, (tail, head, weight) in enumerate(edges):
+        if eid in on_first or tail not in dist or head not in dist:
+            continue
+        red_edges.append((tail, head, max(0.0, weight + dist[tail] - dist[head])))
+        red_ids.append(eid)
+    for eid in first_path:
+        tail, head, _ = edges[eid]
+        red_edges.append((head, tail, 0.0))
+        red_ids.append(-(eid + 1))
+    red_adj = {}
+    for pos, (tail, _, _) in enumerate(red_edges):
+        red_adj.setdefault(tail, []).append(pos)
+    dist2, pred2 = _ref_dijkstra(red_adj, red_edges, src)
+    if dst not in dist2:
+        return None
+
+    combined = set(first_path)
+    for pos in _ref_backtrack(pred2, red_edges, src, dst):
+        marker = red_ids[pos]
+        if marker < 0:
+            combined.discard(-marker - 1)
+        else:
+            combined.add(marker)
+    by_tail = {}
+    for eid in sorted(combined):
+        by_tail.setdefault(edges[eid][0], []).append(eid)
+    paths = []
+    for _ in range(2):
+        walk = []
+        node = src
+        while node != dst:
+            eid = by_tail[node].pop(0)
+            walk.append(eid)
+            node = edges[eid][1]
+        paths.append(tuple(walk))
+    return paths
+
+
+def reference_pair_route(graph: RoutingGraph, i: str, j: str) -> RoutePlan | None:
+    """Disjoint light paths for (i, j), routed on their own from scratch."""
+    a, b = sorted((i, j))
+    dummy = ("dummy",)
+    edges = [(e.tail, e.head, e.weight_db) for e in graph.edges]
+    edges.append((mem_vertex(a), dummy, 0.0))
+    edges.append((mem_vertex(b), dummy, 0.0))
+    paths = reference_suurballe(edges, gen_vertex(), dummy)
+    if paths is None:
+        return None
+    bodies = {edges[path[-1]][0]: path[:-1] for path in paths}
+    total = math.fsum(graph.edges[eid].weight_db
+                      for body in bodies.values() for eid in body)
+    return RoutePlan((a, b), bodies[mem_vertex(a)], bodies[mem_vertex(b)],
+                     total, transmittance(total))
+
+
+def reference_route_table(graph: RoutingGraph) -> RouteTable:
+    """Every node pair of one placement through ``reference_pair_route``."""
+    nodes = sorted(v[1] for v in graph.vertices if v[0] == "mem")
+    plans = {}
+    infeasible = []
+    for ai, a in enumerate(nodes):
+        for b in nodes[ai + 1:]:
+            plan = reference_pair_route(graph, a, b)
+            if plan is None:
+                infeasible.append((a, b))
+            else:
+                plans[(a, b)] = plan
+    return RouteTable(graph.source, plans, tuple(infeasible))

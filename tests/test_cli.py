@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -58,6 +60,26 @@ class TestRoute:
                            "--source", "A")
         assert code == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("distance", ["Infinity", "NaN", '"5"'])
+    def test_bad_distance_is_one_line_error(self, tmp_path, distance):
+        # JSON's Infinity/NaN parse to floats; the loader must refuse them
+        # (and strings) before routing, with no traceback.
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"name": "bad", "nodes": [{"id": "s"}, {"id": "a"}], '
+            f'"links": [{{"a": "s", "b": "a", "distance_km": {distance}}}]}}'
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "eprnet.cli", "route", "--topology",
+             str(path), "--source", "s"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode != 0
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "distance_km" in lines[0]
 
     def test_unknown_source_reports_error(self, capsys):
         code, _, err = run(capsys, "route", "--topology", "simple6",

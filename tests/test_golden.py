@@ -1,0 +1,49 @@
+"""Byte-for-byte sweep outputs pinned against stored golden CSVs.
+
+Each case is a fixed sweep config; its CSV must match the file under
+``tests/golden/`` exactly.  Refactors of routing, allocation or the
+harness must keep these bytes.  An intended change of output regenerates
+them with ``PYTHONPATH=src python tests/test_golden.py`` and says why in
+CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from eprnet import ALL_STRATEGIES, ExperimentConfig, emit_csv, run_placement_sweep
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = {
+    # Paper scale: every ilec17 placement at 8 dB; exact is gated off.
+    "ilec17-8db-runs5": dict(topology_path="ilec17", seed=20260816,
+                             wss_losses=(8.0,), runs=5),
+    "simple6-runs20": dict(topology_path="simple6", seed=424242,
+                           wss_losses=(4.0, 8.0), runs=20),
+    # The acceptance criterion 9 sweep: small enough for exact to run.
+    "ring4-criterion9": dict(topology_path=str(GOLDEN / "ring4.json"),
+                             seed=97531, wss_losses=(4.0, 8.0), runs=3,
+                             channels=10),
+}
+
+
+def _write(case: str, path: Path) -> None:
+    config = ExperimentConfig(strategies=ALL_STRATEGIES, **CASES[case])
+    emit_csv(run_placement_sweep(config), path)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_sweep_csv_matches_golden(case, tmp_path):
+    out = tmp_path / f"{case}.csv"
+    _write(case, out)
+    assert out.read_bytes() == (GOLDEN / f"{case}.csv").read_bytes()
+
+
+if __name__ == "__main__":
+    for name in sys.argv[1:] or sorted(CASES):
+        _write(name, GOLDEN / f"{name}.csv")
+        print(f"wrote {GOLDEN / name}.csv")

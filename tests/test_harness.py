@@ -176,6 +176,26 @@ class TestSweep:
         report = run_placement_sweep(config)
         assert all(r.status == "budget" for r in report.rows)
 
+    def test_each_placement_routed_once_per_loss(self, monkeypatch):
+        from eprnet import harness, metrics
+        routed = []
+        route = harness.all_pair_routes
+
+        def counting(graph):
+            routed.append(graph.source)
+            return route(graph)
+
+        def forbidden(graph):
+            raise AssertionError("normalization must reuse the sweep's tables")
+
+        monkeypatch.setattr(harness, "all_pair_routes", counting)
+        monkeypatch.setattr(metrics, "all_pair_routes", forbidden)
+        config = small_config(wss_losses=(4.0, 8.0))
+        report = run_placement_sweep(config)
+        node_ids = ["A", "B", "C", "D", "E", "F"]
+        assert routed == node_ids * 2
+        assert len(report.rows) == 2 * 2 * 2
+
     def test_deterministic_rows(self):
         config = small_config(strategies=("random", "first-fit"), runs=4)
         a = run_placement_sweep(config)

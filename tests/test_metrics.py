@@ -98,6 +98,26 @@ class TestNormalizationReference:
         assert reference == pytest.approx(min(candidates), rel=1e-12)
         assert all(reference <= c * (1 + 1e-12) for c in candidates)
 
+    def test_precomputed_tables_match_own_routing(self, chain3, default_loss):
+        grid = ChannelGrid(8, 0.1, 0.2, 1550.0)
+        profile = SpectrumProfile(9.0, 1.0)
+        tables = {
+            source: all_pair_routes(build_routing_graph(chain3, source,
+                                                        default_loss))
+            for source in chain3.node_ids
+        }
+        assert normalization_reference(
+            chain3, default_loss, grid, profile, tables=tables,
+        ) == normalization_reference(chain3, default_loss, grid, profile)
+
+    def test_tables_must_cover_every_node(self, star3, default_loss):
+        grid = ChannelGrid(8, 0.1, 0.2, 1550.0)
+        tables = {"s": all_pair_routes(build_routing_graph(star3, "s",
+                                                           default_loss))}
+        with pytest.raises(MetricsError, match="'a'"):
+            normalization_reference(star3, default_loss, grid,
+                                    SpectrumProfile(9.0, 1.0), tables=tables)
+
     def test_infeasible_placements_skipped_with_warning(self, chain3,
                                                         default_loss, caplog):
         grid = ChannelGrid(4, 0.1, 0.2, 1550.0)

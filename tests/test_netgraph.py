@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -131,6 +132,19 @@ class TestGraphInvariants:
             build_routing_graph(two_node, "zz", default_loss)
 
 
+class TestLossParams:
+    @pytest.mark.parametrize("fiber, wss", [
+        (math.nan, 8.0), (0.4, math.nan), (math.inf, 8.0), (0.4, math.inf),
+        (-0.1, 8.0), (0.4, -1.0),
+    ])
+    def test_non_finite_or_negative_rejected(self, fiber, wss):
+        with pytest.raises(ValueError):
+            LossParams(fiber, wss)
+
+    def test_zero_allowed(self):
+        assert LossParams(0.0, 0.0).wss_loss_db == 0.0
+
+
 class TestTransmittance:
     def test_anchors(self):
         assert transmittance(0.0) == 1.0
@@ -219,6 +233,24 @@ class TestLoader:
         mutate(doc)
         with pytest.raises(TopologyError):
             topology_from_dict(doc)
+
+    @pytest.mark.parametrize("value", [
+        "5", True, {"km": 1.0}, [1.0], math.nan, math.inf, -math.inf,
+    ])
+    @pytest.mark.parametrize("where, key", [
+        ("links", "distance_km"), ("nodes", "x_km"), ("nodes", "y_km"),
+    ])
+    def test_non_finite_or_non_numeric_lengths_rejected(self, where, key, value):
+        doc = self.base_doc()
+        doc[where][0][key] = value
+        with pytest.raises(TopologyError, match="finite number"):
+            topology_from_dict(doc)
+
+    def test_json_infinity_distance_rejected(self, tmp_path):
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(self.base_doc()).replace("1.0}]", "Infinity}]"))
+        with pytest.raises(TopologyError, match="distance_km"):
+            load_topology(path)
 
     def test_isolated_node_rejected(self):
         doc = self.base_doc()

@@ -4,7 +4,10 @@ import random
 import pytest
 
 from eprnet import (
+    Link,
     LossParams,
+    Node,
+    PhysicalTopology,
     RoutingError,
     all_pair_routes,
     build_routing_graph,
@@ -12,8 +15,9 @@ from eprnet import (
     pair_route,
     route_nodes,
     suurballe_disjoint_pair,
+    topology_from_dict,
 )
-from oracles import best_disjoint_total
+from oracles import best_disjoint_total, reference_route_table, reference_suurballe
 
 
 class TestSuurballeSmall:
@@ -52,6 +56,24 @@ class TestSuurballeSmall:
 
     def test_disconnected(self):
         assert suurballe_disjoint_pair([("s", "a", 1.0)], "s", "t") is None
+
+    def test_reversal_relaxed_after_real_edges(self):
+        # Zero-weight ties: relaxing vertex 1's reversed first-path edge
+        # before its real edges would return ((5, 3, 4), (6, 9)) instead,
+        # of equal weight.
+        edges = [(1, 3, 0.0), (1, 3, 1.0), (1, 0, 0.0), (1, 2, 1.0),
+                 (2, 4, 1.0), (0, 1, 0.0), (0, 3, 1.0), (2, 1, 0.0),
+                 (3, 1, 0.0), (3, 4, 0.0)]
+        pair = suurballe_disjoint_pair(edges, 0, 4)
+        assert pair is not None
+        assert (pair.first, pair.second) == ((5, 0, 8, 3, 4), (6, 9))
+        assert [pair.first, pair.second] == reference_suurballe(edges, 0, 4)
+
+    @pytest.mark.parametrize("weight", [math.inf, math.nan, -1.0])
+    def test_invalid_weight_rejected(self, weight):
+        with pytest.raises(RoutingError, match="invalid weight"):
+            suurballe_disjoint_pair([("s", "t", 1.0), ("s", "t", weight)],
+                                    "s", "t")
 
     def test_same_endpoints_rejected(self):
         with pytest.raises(ValueError):
@@ -178,3 +200,91 @@ class TestRouteTables:
         plan_dear = pair_route(dear, "a", "b")
         assert plan_cheap is not None and plan_dear is not None
         assert plan_cheap.total_loss_db < plan_dear.total_loss_db
+
+
+class TestNonFiniteGraphs:
+    def test_infinite_link_rejected_at_compile(self, default_loss):
+        # A topology built in code skips the loader's checks; routing
+        # must still refuse the infinite fiber loss instead of routing it.
+        topology = PhysicalTopology(
+            name="far", nodes=(Node("s"), Node("a")),
+            links=(Link("s", "a", math.inf),),
+        )
+        graph = build_routing_graph(topology, "s", default_loss)
+        with pytest.raises(RoutingError, match="invalid weight inf"):
+            all_pair_routes(graph)
+        with pytest.raises(RoutingError, match="invalid weight inf"):
+            pair_route(graph, "s", "a")
+
+
+def _tie_heavy_topology(rng: random.Random, tree: bool):
+    """Random connected topology whose links share a few lengths.
+
+    Equal lengths (and zero switch loss) give many equal-loss routes, so
+    only the tie rules decide which one is returned.
+    """
+    n = rng.randint(2, 7)
+    names = [chr(ord("a") + i) for i in range(n)]
+    order = names[:]
+    rng.shuffle(order)
+    lengths = (1.0, 2.0, 2.5)
+    links = {}
+    for i in range(1, n):
+        pair = tuple(sorted((order[i], order[rng.randrange(i)])))
+        links[pair] = rng.choice(lengths)
+    if not tree:
+        extra = [(a, b) for ai, a in enumerate(names) for b in names[ai + 1:]
+                 if (a, b) not in links]
+        rng.shuffle(extra)
+        for pair in extra[: rng.randint(0, len(extra))]:
+            links[pair] = rng.choice(lengths)
+    return topology_from_dict({
+        "name": "ties",
+        "nodes": [{"id": name} for name in names],
+        "links": [{"a": a, "b": b, "distance_km": d}
+                  for (a, b), d in sorted(links.items())],
+    })
+
+
+class TestRouteIdentity:
+    """The shared-first-pass router returns the pinned router's paths.
+
+    Totals alone are checked against the exhaustive oracle elsewhere; this
+    pins every path, so the tie rules cannot drift.
+    """
+
+    @pytest.mark.parametrize("block", range(6))
+    def test_random_tie_heavy_topologies(self, block):
+        rng = random.Random(7001 + block)
+        infeasible = 0
+        for case in range(60):
+            topology = _tie_heavy_topology(rng, tree=case % 4 == 0)
+            source = rng.choice(topology.node_ids)
+            loss = LossParams(rng.choice([0.0, 0.4]), rng.choice([0.0, 4.0, 8.0]))
+            graph = build_routing_graph(topology, source, loss,
+                                        exclude_u_turns=rng.random() < 0.5)
+            table = all_pair_routes(graph)
+            assert table == reference_route_table(graph)
+            infeasible += len(table.infeasible)
+        assert infeasible > 0
+
+    def test_random_tie_heavy_multigraphs(self):
+        # Small integer weights and parallel edges: many equal-weight
+        # alternatives for the generic entry point.
+        rng = random.Random(9090)
+        for _ in range(300):
+            n = rng.randint(2, 6)
+            edges = [(*rng.sample(range(n), 2), float(rng.randint(0, 2)))
+                     for _ in range(rng.randint(1, 16))]
+            got = suurballe_disjoint_pair(edges, 0, n - 1)
+            want = reference_suurballe(edges, 0, n - 1)
+            if want is None:
+                assert got is None
+            else:
+                assert got is not None and [got.first, got.second] == want
+
+    @pytest.mark.parametrize("source", bundled_topology("ilec17").node_ids)
+    def test_every_ilec17_placement(self, source, default_loss):
+        graph = build_routing_graph(bundled_topology("ilec17"), source,
+                                    default_loss)
+        assert all_pair_routes(graph) == reference_route_table(graph)
