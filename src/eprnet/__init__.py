@@ -34,9 +34,7 @@ from .harness import (
     splitmix64,
 )
 from .metrics import (
-    MetricReport,
     MetricsError,
-    compute_report,
     jain_index,
     normalization_reference,
     normalized_min_rate,

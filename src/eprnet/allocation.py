@@ -23,8 +23,9 @@ the same assignment compare bit-for-bit equal.
 
 from __future__ import annotations
 
+import bisect
 import math
-import time
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -164,37 +165,41 @@ def fractional_optimum(instance: AllocationInstance) -> float:
     return total / denom
 
 
-def _waterfill_bound(r: list[float], inv_eta: list[float], mass_left: float) -> float:
-    """Best possible final minimum if the remaining mass were divisible."""
-    order = sorted(range(len(r)), key=lambda p: r[p])
-    inv_sum = 0.0
-    cost_sum = 0.0  # sum of r_i / eta_i over the current group
-    for p in order:
-        level = r[p]
-        if inv_sum > 0.0:
-            cost = level * inv_sum - cost_sum
-            if cost >= mass_left:
-                return (mass_left + cost_sum) / inv_sum
-        inv_sum += inv_eta[p]
-        cost_sum += level * inv_eta[p]
-    return (mass_left + cost_sum) / inv_sum
-
-
 def exact_maxmin(
     instance: AllocationInstance,
     *,
     pair_order: Sequence[int] | None = None,
     node_budget: int = 1_000_000,
-    time_budget_s: float | None = None,
     target_hint: float | None = None,
     warm: Sequence[int] | None = None,
 ) -> ExactResult:
     """Provably optimal max-min allocation by branch and bound.
 
-    Channels are branched in descending-rate order; each search node is
-    bounded by the water-filling completion of the remaining rate mass,
-    and equal-rate channels are canonicalized (their pair indices must be
-    non-decreasing) to kill permutation symmetry.  Intended for small
+    Channels are branched in descending-rate order (ties by index); the
+    children of a node try the pairs by ascending current received rate,
+    ties broken by ``pair_order``.  Equal-rate channels are canonicalized
+    (their pair indices must be non-decreasing) to kill permutation
+    symmetry.  A node is pruned when its pairs cannot all reach the
+    threshold, which is ``target_hint`` when given (a leaf is accepted
+    once its minimum reaches it) and otherwise the incumbent (a leaf must
+    beat it).  Two bounds decide that, from each short pair's missing
+    rate mass ``threshold / eta_p - mass_p``:
+
+    * water-filling: the missing masses must fit in the remaining rate
+      mass, i.e. the water-filling completion with divisible channels
+      must reach the threshold;
+    * channel count: a pair needs at least as many more channels as it
+      would take with the largest remaining ones, and those counts must
+      fit in the channels left.
+
+    Both are padded by a relative 1e-12 (plus an absolute allowance for
+    the rounding of running sums), so rounding never cuts off a leaf that
+    would be accepted.  A pair's running mass is restored exactly on
+    backtracking, so every node's rates depend only on its path: the
+    search order, and hence which of several optimal assignments is
+    returned, depends only on the instance and ``pair_order``, never on
+    how much of the tree was pruned.  The search is iterative and
+    deterministic, with no wall-clock stop.  Intended for small
     instances; on larger ones set a budget and expect ``optimal=False``
     with the best incumbent found.
 
@@ -202,8 +207,8 @@ def exact_maxmin(
         pair_order: permutation used to break ties between equally poor
             pairs while branching; distinct orders can surface distinct
             optimal assignments.
-        node_budget: max search nodes before giving up.
-        time_budget_s: optional wall-clock cap.
+        node_budget: max search nodes before giving up; the root and
+            each visited child count once.
         target_hint: a received-rate value known to be achievable (e.g.
             from a previous solve of the same instance); the search then
             returns the first allocation reaching it.
@@ -217,16 +222,23 @@ def exact_maxmin(
         computation, so its minimum compares exactly with enumeration.
     """
     k, m = instance.pair_count, instance.channel_count
-    rank = [0] * k
-    for pos, p in enumerate(_validated_order(pair_order, k)):
-        rank[p] = pos
+    # Pairs in tie-break order: a stable sort of this list by received
+    # rate orders children by (rate, position in pair_order).
+    by_rank = _validated_order(pair_order, k)
     n = list(instance.rates)
     etas = list(instance.etas)
     inv_eta = [1.0 / e for e in etas]
     order = sorted(range(m), key=lambda x: (-n[x], x))
-    suffix_mass = [0.0] * (m + 1)
-    for t in range(m - 1, -1, -1):
-        suffix_mass[t] = suffix_mass[t + 1] + n[order[t]]
+    # prefix[i]: mass of the i largest channels, so the j largest of the
+    # channels left at depth t sum to prefix[t + j] - prefix[t].
+    prefix = [0.0] * (m + 1)
+    for t in range(m):
+        prefix[t + 1] = prefix[t] + n[order[t]]
+    # Covers the rounding of the prefix sums, of their differences and of
+    # the running masses, each a sequential sum of at most m nonnegative
+    # terms.
+    mass_slack = 4.0 * (m + 1) * math.ulp(1.0) * prefix[m]
+    tied = [t > 0 and n[order[t - 1]] == n[order[t]] for t in range(m)]
 
     if warm is not None:
         warm = [int(p) for p in warm]
@@ -252,61 +264,80 @@ def exact_maxmin(
     if target_hint is not None and best_value >= target_hint:
         return ExactResult(seed_alloc, True, 0)
 
+    def mass_goals(threshold: float) -> list[float]:
+        # Lower bounds on the mass each pair must hold to reach threshold.
+        return [threshold * inv * (1.0 - 1e-12) - mass_slack for inv in inv_eta]
+
+    goals = mass_goals(best_value if target_hint is None else target_hint)
     assign = [-1] * m
     mass = [0.0] * k
+    owned: list[list[float]] = [[] for _ in range(k)]  # rates, for leaves
+    saved = [0.0] * m  # mass of the pair that took order[t], before it did
+    kids: list[list[int]] = [[]] * m  # children of the open node at depth t
+    tried = [0] * m  # how many of kids[t] have been entered
     nodes = 0
-    deadline = None if time_budget_s is None else time.monotonic() + time_budget_s
-
-    class _Stop(Exception):
-        pass
-
-    class _Found(Exception):
-        pass
-
-    def recurse(t: int, prev_pair: int) -> None:
-        nonlocal nodes, best_value, best_assign
+    optimal = True
+    t = 0
+    while True:
         nodes += 1
-        if nodes > node_budget or (deadline is not None and time.monotonic() > deadline):
-            raise _Stop
+        if nodes > node_budget:
+            optimal = False
+            break
+        expand = False
         if t == m:
-            value = min(received_rates(instance, assign))
             if target_hint is not None:
-                if value >= target_hint:
+                if all(etas[p] * math.fsum(owned[p]) >= target_hint
+                       for p in range(k)):
+                    best_assign = assign.copy()
+                    break
+            else:
+                value = min(etas[p] * math.fsum(owned[p]) for p in range(k))
+                if value > best_value:
                     best_value = value
                     best_assign = assign.copy()
-                    raise _Found
-                return
-            if value > best_value:
-                best_value = value
-                best_assign = assign.copy()
-            return
-        r = [etas[p] * mass[p] for p in range(k)]
-        bound = _waterfill_bound(r, inv_eta, suffix_mass[t])
-        padded = bound * (1.0 + 1e-12)
-        if target_hint is not None:
-            if padded < target_hint:
-                return
-        elif padded <= best_value:
-            return
-        x = order[t]
-        tied = t > 0 and n[order[t - 1]] == n[x]
-        children = sorted(range(k), key=lambda p: (r[p], rank[p]))
-        for p in children:
-            if tied and p < prev_pair:
-                continue
-            assign[x] = p
-            mass[p] += n[x]
-            recurse(t + 1, p)
-            mass[p] -= n[x]
-            assign[x] = -1
-
-    optimal = True
-    try:
-        recurse(0, -1)
-    except _Stop:
-        optimal = False
-    except _Found:
-        pass
+                    goals = mass_goals(best_value)
+        else:
+            # Missing mass of each short pair: together it must fit in the
+            # remaining mass (water-filling), and each pair's share must
+            # fit in its own channels (channel count).
+            shorts = [g - w for g, w in zip(goals, mass) if g > w]
+            if sum(shorts) <= prefix[m] - prefix[t]:
+                base = prefix[t]
+                channels = sum(bisect.bisect_left(prefix, base + s, t + 1)
+                               for s in shorts)
+                expand = channels - t * len(shorts) <= m - t
+        if expand:
+            r = list(map(operator.mul, etas, mass))
+            children = sorted(by_rank, key=r.__getitem__)
+            if tied[t]:
+                prev_pair = assign[order[t - 1]]
+                children = [p for p in children if p >= prev_pair]
+            kids[t] = children
+            tried[t] = 0
+            depth = t
+        else:
+            depth = t - 1
+        # Enter the next untried child, backtracking through exhausted
+        # nodes; each undo restores the saved mass, never subtracts.
+        while depth >= 0:
+            x = order[depth]
+            c = tried[depth]
+            if c:
+                p = assign[x]
+                mass[p] = saved[depth]
+                owned[p].pop()
+            if c < len(kids[depth]):
+                tried[depth] = c + 1
+                p = kids[depth][c]
+                assign[x] = p
+                saved[depth] = mass[p]
+                mass[p] += n[x]
+                owned[p].append(n[x])
+                t = depth + 1
+                break
+            depth -= 1
+        else:
+            break
     return ExactResult(_finish(instance, best_assign), optimal, nodes)
 
 

@@ -109,15 +109,15 @@ class ExperimentConfig:
                 f"unknown strategies: {', '.join(sorted(unknown))}; "
                 f"known: {', '.join(ALL_STRATEGIES)}"
             )
-        if not isinstance(self.seed, int):
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ConfigError("seed must be an integer")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must fit in 64 bits")
         if self.channels < 1:
             raise ConfigError(f"channels must be >= 1, got {self.channels}")
         for loss in self.wss_losses:
-            if loss < 0:
-                raise ConfigError(f"wss loss must be >= 0 dB, got {loss}")
+            if not 0 <= loss < math.inf:
+                raise ConfigError(f"wss loss must be finite and >= 0 dB, got {loss}")
 
     def grid(self) -> ChannelGrid:
         return ChannelGrid(self.channels, self.channel_width_nm,

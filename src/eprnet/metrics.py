@@ -11,7 +11,6 @@ sources.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .netgraph import LossParams, PhysicalTopology, build_routing_graph
@@ -23,15 +22,6 @@ logger = logging.getLogger(__name__)
 
 class MetricsError(ValueError):
     """Raised when a metric cannot be computed."""
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """Summary metrics for one allocation outcome."""
-
-    min_rate: float
-    min_rate_normalized: float
-    jain: float
 
 
 def jain_index(received: Sequence[float]) -> float:
@@ -46,6 +36,11 @@ def jain_index(received: Sequence[float]) -> float:
     for v in values:
         if not (v >= 0):
             raise MetricsError(f"rates must be >= 0, got {v}")
+    peak = max(values)
+    if 0.0 < peak < 1e-150:
+        # The squares would fall into the subnormal range and lose their
+        # precision; the index is scale-invariant, so rescale first.
+        values = [v / peak for v in values]
     square_sum = sum(v * v for v in values)
     if square_sum == 0.0:
         return 1.0
@@ -107,13 +102,3 @@ def normalized_min_rate(min_rate: float, reference: float) -> float:
     if reference <= 0:
         raise MetricsError(f"reference must be > 0, got {reference}")
     return min_rate / reference
-
-
-def compute_report(received: Sequence[float], reference: float) -> MetricReport:
-    """Bundle min rate, its normalized value, and Jain fairness."""
-    min_rate = min(received)
-    return MetricReport(
-        min_rate=min_rate,
-        min_rate_normalized=normalized_min_rate(min_rate, reference),
-        jain=jain_index(received),
-    )

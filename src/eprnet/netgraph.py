@@ -163,6 +163,9 @@ def topology_from_dict(doc: dict[str, Any]) -> PhysicalTopology:
     if not isinstance(doc, dict):
         raise TopologyError("topology document must be a JSON object")
     _require_keys(doc, _ALLOWED_TOP_KEYS, ("name", "nodes", "links"), "topology")
+    for key in ("nodes", "links"):
+        if not isinstance(doc[key], list):
+            raise TopologyError(f"topology {key} must be a list")
     nodes = []
     for entry in doc["nodes"]:
         if not isinstance(entry, dict):

@@ -2,9 +2,11 @@
 
 Everything here is written against the problem statements, not against
 the library internals, so agreement between the two is evidence of
-correctness rather than of shared bugs.  The exception is the pinned
-per-pair router at the end: it is the library's earlier, simpler router,
-kept to hold the faster one to the very same routes.
+correctness rather than of shared bugs.  Two exceptions pin tie rules
+rather than values: the unpruned exact search, which holds the branch and
+bound to the very same assignment, and the per-pair router at the end,
+the library's earlier, simpler router, kept to hold the faster one to the
+very same routes.
 """
 
 from __future__ import annotations
@@ -13,7 +15,18 @@ import heapq
 import math
 from typing import Hashable, Sequence
 
-from eprnet import RoutePlan, RouteTable, RoutingGraph, gen_vertex, mem_vertex, transmittance
+from eprnet import (
+    AllocationInstance,
+    RoutePlan,
+    RouteTable,
+    RoutingGraph,
+    bezakova_matching,
+    first_fit,
+    gen_vertex,
+    mem_vertex,
+    modified_lpt,
+    transmittance,
+)
 
 EdgeTriple = tuple[Hashable, Hashable, float]
 
@@ -220,6 +233,73 @@ def lp_fractional_search(etas: Sequence[float], rates: Sequence[float],
         if hi - lo <= rel_tol * max(hi, 1.0):
             break
     return lo / scale
+
+
+# --- unpruned exact search -------------------------------------------------
+#
+# The library's branch and bound without any bound: the same seeding, the
+# same branching order and the same equal-rate canonicalisation, with every
+# running mass a fresh sum along the path.  Any valid pruning leaves the
+# returned assignment unchanged, so the solver must match it exactly.
+
+
+def reference_exact_dfs(instance: AllocationInstance,
+                        pair_order: Sequence[int] | None = None,
+                        target_hint: float | None = None) -> tuple[int, ...]:
+    """Assignment returned by an exhaustive depth-first exact search.
+
+    Channels are branched by descending rate (ties by index); children
+    try pairs by ascending received rate, ties by position in
+    ``pair_order``.  Equal-rate neighbours in that order take
+    non-decreasing pair indices.  Without a hint the first leaf to beat
+    the best heuristic seed strictly wins each time; with a hint the first
+    leaf whose minimum reaches it is returned (or the seed, if it does).
+    """
+    k, m = instance.pair_count, instance.channel_count
+    etas, n = instance.etas, instance.rates
+    order = list(range(k)) if pair_order is None else list(pair_order)
+    rank = {p: pos for pos, p in enumerate(order)}
+    channels = sorted(range(m), key=lambda x: (-n[x], x))
+
+    seeds = [modified_lpt(instance), first_fit(instance)]
+    if m >= k:
+        seeds.append(bezakova_matching(instance))
+    seed = seeds[0]
+    for cand in seeds[1:]:
+        if cand.min_rate > seed.min_rate:
+            seed = cand
+    best = [seed.min_rate, seed.assignment]
+    if target_hint is not None and seed.min_rate >= target_hint:
+        return seed.assignment
+    assign = [-1] * m
+
+    def leaf_value() -> float:
+        return min(etas[p] * math.fsum(n[x] for x in range(m) if assign[x] == p)
+                   for p in range(k))
+
+    def search(t: int, mass: tuple[float, ...]) -> bool:
+        if t == m:
+            value = leaf_value()
+            if target_hint is not None:
+                if value >= target_hint:
+                    best[1] = tuple(assign)
+                    return True
+            elif value > best[0]:
+                best[0], best[1] = value, tuple(assign)
+            return False
+        x = channels[t]
+        low = assign[channels[t - 1]] if t and n[channels[t - 1]] == n[x] else 0
+        for p in sorted(range(k), key=lambda q: (etas[q] * mass[q], rank[q])):
+            if p < low:
+                continue
+            assign[x] = p
+            grown = mass[:p] + (mass[p] + n[x],) + mass[p + 1:]
+            if search(t + 1, grown):
+                return True
+        return False
+
+    search(0, (0.0,) * k)
+    return best[1]
 
 
 # --- pinned per-pair router ------------------------------------------------

@@ -1,26 +1,38 @@
 import math
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eprnet import (
+    ALL_STRATEGIES,
     AllocationError,
     AllocationInstance,
+    ExperimentConfig,
+    LossParams,
     RateVector,
+    all_pair_routes,
     bezakova_matching,
+    build_routing_graph,
     channels_by_pair,
+    derive_seed,
     exact_maxmin,
     first_fit,
     fractional_optimum,
+    generation_rates,
+    load_topology,
     lp_round,
     modified_lpt,
     random_balanced,
     received_rates,
     round_robin,
 )
-from oracles import enumerate_best_min, lp_fractional_search
+from oracles import enumerate_best_min, lp_fractional_search, reference_exact_dfs
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def make_instance(etas, rates):
@@ -34,6 +46,24 @@ def random_instance(rng: random.Random, max_k=4, max_m=10, min_m=1):
     rates = [rng.uniform(0.0, 3.0) if rng.random() > 0.1 else 0.0
              for _ in range(m)]
     return make_instance(etas, rates)
+
+
+def tie_heavy_instance(rng: random.Random) -> AllocationInstance:
+    """k <= 5, m <= 9, drawn from tiny pools so etas and rates repeat.
+
+    Non-dyadic rates (0.1, 0.2, 0.3) make sums of the same channels round
+    differently by order, so near-tied pair rates are common.  Shapes are
+    capped at 6,000 k^m leaves to keep the unpruned search quick.
+    """
+    k = rng.randint(1, 5)
+    m = rng.randint(1, 9)
+    while k ** m > 6000:
+        m -= 1
+    eta_pool = [rng.choice([0.25, 0.5, 1.0]), rng.uniform(0.01, 1.0),
+                rng.uniform(0.01, 1.0)]
+    rate_pool = [0.0, 0.1, 0.2, 0.3, 0.7, 1.0, rng.uniform(0.0, 3.0)]
+    return make_instance([rng.choice(eta_pool) for _ in range(k)],
+                         [rng.choice(rate_pool) for _ in range(m)])
 
 
 @st.composite
@@ -186,6 +216,58 @@ class TestExactMaxmin:
         assert not res.optimal
         assert_partition(inst, res.allocation)
         assert res.allocation.min_rate >= 0.0
+
+    @pytest.mark.parametrize("chunk", range(10))
+    def test_matches_unpruned_search_on_ties(self, chunk):
+        # Pruning must not change which optimal assignment comes back, with
+        # or without a hint; 10 chunks x 100 tie-heavy instances.
+        for case in range(100 * chunk, 100 * (chunk + 1)):
+            rng = random.Random(case)
+            inst = tie_heavy_instance(rng)
+            order = list(range(inst.pair_count))
+            rng.shuffle(order)
+            full = exact_maxmin(inst, pair_order=order, node_budget=10 ** 9)
+            assert full.optimal
+            assert full.allocation.assignment == reference_exact_dfs(inst, order)
+            want = enumerate_best_min(list(inst.etas), list(inst.rates))
+            assert full.allocation.min_rate == want
+
+            hint = full.allocation.min_rate
+            hinted = exact_maxmin(inst, pair_order=order[::-1],
+                                  target_hint=hint, node_budget=10 ** 9)
+            assert hinted.optimal
+            assert hinted.allocation.assignment == reference_exact_dfs(
+                inst, order[::-1], target_hint=hint)
+
+    def test_deep_search_stops_at_budget(self):
+        # The search depth equals the channel count; an explicit stack
+        # keeps 1,500 levels from overflowing the interpreter stack.
+        rates = [1.0 + (x % 7) * 0.1 for x in range(1500)]
+        inst = make_instance([0.5, 0.3, 0.9], rates)
+        res = exact_maxmin(inst, node_budget=5000)
+        assert not res.optimal
+        assert res.nodes_explored == 5001
+        assert_partition(inst, res.allocation)
+
+    def test_channel_count_bound_keeps_ring4_small(self):
+        # The golden ring4 sweep's first exact solve (source a, 8 dB):
+        # 515,286 nodes with the water-filling bound alone.
+        config = ExperimentConfig(topology_path=str(GOLDEN / "ring4.json"),
+                                  seed=97531, wss_losses=(4.0, 8.0), channels=10)
+        topology = load_topology(config.topology_path)
+        graph = build_routing_graph(topology, "a", LossParams(0.4, 8.0))
+        table = all_pair_routes(graph)
+        etas = tuple(table.plans[pair].eta for pair in sorted(table.plans))
+        inst = AllocationInstance(etas, generation_rates(config.grid(),
+                                                         config.profile()))
+        # Run 0 of loss index 1 (8 dB) and source index 0 (a).
+        seed = derive_seed(config.seed, 1, 0, ALL_STRATEGIES.index("exact"), 0)
+        perm = tuple(int(p) for p in
+                     np.random.Generator(np.random.PCG64(seed)).permutation(len(etas)))
+        res = exact_maxmin(inst, pair_order=perm,
+                           node_budget=config.exact_node_budget)
+        assert res.optimal
+        assert res.nodes_explored < 10_000
 
     def test_hint_short_circuits(self):
         inst = make_instance([1.0, 1.0], [2.0, 1.0, 1.0])

@@ -81,6 +81,17 @@ class TestRoute:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "distance_km" in lines[0]
 
+    def test_non_list_nodes_is_one_line_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"name": "bad", "nodes": 5, "links": []}')
+        code, out, err = run(capsys, "route", "--topology", str(path),
+                             "--source", "s")
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "nodes" in lines[0]
+
     def test_unknown_source_reports_error(self, capsys):
         code, _, err = run(capsys, "route", "--topology", "simple6",
                            "--source", "ZZ")
@@ -109,6 +120,15 @@ class TestAllocate:
                            "--source", "A", "--strategy", "random",
                            "--seed", "3", "--channels", "16")
         assert code == 0
+
+    def test_exact_deep_search_stops_at_budget(self, capsys):
+        # 1,500 channels make the search 1,500 levels deep; the solver
+        # must stop at the node budget with its incumbent, not overflow.
+        code, out, _ = run(capsys, "allocate", "--topology", "simple6",
+                           "--source", "A", "--strategy", "exact",
+                           "--channels", "1500", "--node-budget", "5000")
+        assert code == 0
+        assert "minimum rate:" in out
 
     def test_unknown_strategy_is_usage_error(self, capsys):
         with pytest.raises(SystemExit):

@@ -79,12 +79,28 @@ class TestConfig:
         dict(wss_losses=()),
         dict(channels=0),
         dict(wss_losses=(-1.0,)),
+        dict(seed=True),
+        dict(seed=False),
+        dict(wss_losses=(math.nan,)),
+        dict(wss_losses=(4.0, math.inf)),
     ])
     def test_invalid_values_rejected(self, bad):
         base = dict(topology_path="simple6", seed=1)
         base.update(bad)
         with pytest.raises(ConfigError):
             ExperimentConfig(**base)
+
+    @pytest.mark.parametrize("bad", [
+        '"seed": true',
+        '"seed": false',
+        '"seed": 1, "wss_losses": [NaN]',
+        '"seed": 1, "wss_losses": [4.0, Infinity]',
+    ])
+    def test_invalid_json_values_rejected(self, tmp_path, bad):
+        path = tmp_path / "config.json"
+        path.write_text('{"topology_path": "simple6", ' + bad + '}')
+        with pytest.raises(ConfigError):
+            config_from_json(path)
 
     def test_json_round_trip(self, tmp_path):
         doc = {

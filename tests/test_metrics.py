@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -20,11 +21,13 @@ from eprnet import (
 
 
 def brute_force_jain(xs):
-    total = math.fsum(xs)
-    square = math.fsum(x * x for x in xs)
+    # Exact rational arithmetic, rounded once: float squares of rates below
+    # about 1e-154 are subnormal and would make the reference itself wrong.
+    total = sum(map(Fraction, xs))
+    square = sum(Fraction(x) ** 2 for x in xs)
     if square == 0:
         return 1.0
-    return total * total / (len(xs) * square)
+    return float(total * total / (len(xs) * square))
 
 
 class TestJainIndex:
@@ -39,6 +42,15 @@ class TestJainIndex:
 
     def test_all_zero_convention(self):
         assert jain_index([0.0, 0.0, 0.0]) == 1.0
+
+    @pytest.mark.parametrize("xs, want", [
+        ([4.973994384157286e-159] * 2, 1.0),
+        ([1e-200, 0.0], 0.5),
+        ([2e-170, 1e-170], 0.9),
+    ])
+    def test_tiny_rates_keep_precision(self, xs, want):
+        # Squares of these rates are subnormal or underflow to zero.
+        assert jain_index(xs) == pytest.approx(want, rel=1e-12)
 
     def test_single_consumer(self):
         assert jain_index([5.0]) == 1.0

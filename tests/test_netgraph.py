@@ -246,6 +246,14 @@ class TestLoader:
         with pytest.raises(TopologyError, match="finite number"):
             topology_from_dict(doc)
 
+    @pytest.mark.parametrize("value", [5, "ab", {"id": "a"}, None])
+    @pytest.mark.parametrize("key", ["nodes", "links"])
+    def test_non_list_nodes_or_links_rejected(self, key, value):
+        doc = self.base_doc()
+        doc[key] = value
+        with pytest.raises(TopologyError, match=f"{key} must be a list"):
+            topology_from_dict(doc)
+
     def test_json_infinity_distance_rejected(self, tmp_path):
         path = tmp_path / "inf.json"
         path.write_text(json.dumps(self.base_doc()).replace("1.0}]", "Infinity}]"))
