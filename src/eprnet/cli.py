@@ -14,7 +14,7 @@ import argparse
 import dataclasses
 import sys
 
-from .allocation import AllocationInstance
+from .allocation import AllocationInstance, channels_by_pair
 from .harness import (
     ALL_STRATEGIES,
     ConfigError,
@@ -38,19 +38,26 @@ from .spectrum import (
 )
 
 
-def _add_grid_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--channels", type=int, default=200,
-                        help="number of wavelength channels (default 200)")
-    parser.add_argument("--width-nm", type=float, default=0.1,
-                        help="channel width in nm (default 0.1)")
-    parser.add_argument("--pitch-nm", type=float, default=0.2,
-                        help="channel spacing in nm (default 0.2)")
-    parser.add_argument("--center-nm", type=float, default=1550.0,
-                        help="grid center wavelength in nm (default 1550)")
-    parser.add_argument("--fwhm-nm", type=float, default=9.0,
-                        help="emission FWHM in nm (default 9)")
-    parser.add_argument("--peak-rate", type=float, default=1.0,
-                        help="peak generation rate (default 1)")
+# Flags that set a config field store under its name and default to the
+# ExperimentConfig default, except in `sweep`: there an omitted flag keeps
+# the --config file's value, else the config default.
+_CONFIG_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+_GRID_FLAGS = (
+    ("--channels", "channels", int, "number of wavelength channels"),
+    ("--width-nm", "channel_width_nm", float, "channel width in nm"),
+    ("--pitch-nm", "channel_pitch_nm", float, "channel spacing in nm"),
+    ("--center-nm", "center_wavelength_nm", float, "grid center wavelength in nm"),
+    ("--fwhm-nm", "fwhm_nm", float, "emission FWHM in nm"),
+    ("--peak-rate", "peak_rate", float, "peak generation rate"),
+)
+_FIBER_FLAG = ("--fiber-db-per-km", "fiber_loss_db_per_km", float, "fiber loss in dB/km")
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, flags) -> None:
+    for flag, field, kind, text in flags:
+        default = _CONFIG_DEFAULTS[field]
+        parser.add_argument(flag, dest=field, type=kind, default=default,
+                            help=f"{text} (default {default:g})")
 
 
 def _add_loss_args(parser: argparse.ArgumentParser) -> None:
@@ -60,15 +67,15 @@ def _add_loss_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--source", required=True, help="source node id")
     parser.add_argument("--wss-db", type=float, default=8.0,
                         help="per-switch loss in dB (default 8)")
-    parser.add_argument("--fiber-db-per-km", type=float, default=0.4,
-                        help="fiber loss in dB/km (default 0.4)")
+    _add_config_flags(parser, [_FIBER_FLAG])
     parser.add_argument("--exclude-u-turns", action="store_true",
                         help="forbid routes that bounce through a node back "
                              "onto the arriving fiber")
 
 
 def _grid_from_args(args: argparse.Namespace) -> tuple[ChannelGrid, SpectrumProfile]:
-    grid = ChannelGrid(args.channels, args.width_nm, args.pitch_nm, args.center_nm)
+    grid = ChannelGrid(args.channels, args.channel_width_nm,
+                       args.channel_pitch_nm, args.center_wavelength_nm)
     return grid, SpectrumProfile(args.fwhm_nm, args.peak_rate)
 
 
@@ -86,7 +93,7 @@ def _cmd_rates(args: argparse.Namespace) -> int:
 
 def _route_table(args: argparse.Namespace):
     topology = load_topology(args.topology)
-    loss = LossParams(args.fiber_db_per_km, args.wss_db)
+    loss = LossParams(args.fiber_loss_db_per_km, args.wss_db)
     graph = build_routing_graph(topology, args.source, loss,
                                 exclude_u_turns=args.exclude_u_turns)
     return graph, all_pair_routes(graph)
@@ -129,53 +136,28 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
     pairs = sorted(table.plans)
     instance = AllocationInstance(
         tuple(table.plans[p].eta for p in pairs), rates)
-    allocation = allocate_once(instance, args.strategy, seed=args.seed,
-                               node_budget=args.node_budget)
+    allocation, completed = allocate_once(instance, args.strategy, seed=args.seed,
+                                          node_budget=args.node_budget)
     print(f"{'pair':>10} {'channels':>9} {'received':>12}")
-    counts = [0] * len(pairs)
-    for pair_idx in allocation.assignment:
-        counts[pair_idx] += 1
+    owned = channels_by_pair(allocation.assignment, len(pairs))
     for q, pair in enumerate(pairs):
-        print(f"{pair[0] + '-' + pair[1]:>10} {counts[q]:>9} "
+        print(f"{pair[0] + '-' + pair[1]:>10} {len(owned[q]):>9} "
               f"{allocation.received[q]:>12.6g}")
     print(f"minimum rate: {allocation.min_rate:.6g}")
     print(f"jain index:   {jain_index(allocation.received):.6g}")
+    # The sweep CSV's words: "budget" is an exact search stopped at its
+    # node budget, whose allocation is the best one found.
+    print(f"status: {'ok' if completed else 'budget'}")
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.config:
-        config = config_from_json(args.config)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.out:
-            overrides["output_path"] = args.out
-        if overrides:
-            config = dataclasses.replace(config, **overrides)
-    else:
-        if args.topology is None:
-            raise ConfigError("either --config or --topology is required")
-        if args.seed is None:
-            raise ConfigError("--seed is required (sweeps must be reproducible)")
-        config = ExperimentConfig(
-            topology_path=args.topology,
-            seed=args.seed,
-            wss_losses=tuple(args.wss_db) if args.wss_db else (4.0, 8.0),
-            strategies=tuple(args.strategies.split(","))
-            if args.strategies else ALL_STRATEGIES,
-            runs=args.runs,
-            sources=tuple(args.sources.split(",")) if args.sources else None,
-            channels=args.channels,
-            channel_width_nm=args.width_nm,
-            channel_pitch_nm=args.pitch_nm,
-            center_wavelength_nm=args.center_nm,
-            fwhm_nm=args.fwhm_nm,
-            peak_rate=args.peak_rate,
-            fiber_loss_db_per_km=args.fiber_db_per_km,
-            exclude_u_turns=args.exclude_u_turns,
-            output_path=args.out,
-        )
+    if args.config is None and None in (args.topology_path, args.seed):
+        raise ConfigError("without --config, --topology and --seed are required "
+                          "(sweeps must be reproducible)")
+    given = {name: value for name, value in vars(args).items()
+             if name in _CONFIG_DEFAULTS and value is not None}
+    config = config_from_json(args.config, **given)
     report = run_placement_sweep(config)
     out = config.output_path or "sweep.csv"
     emit_csv(report, out)
@@ -184,6 +166,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         emit_plot(report, args.plot)
         print(f"wrote plot to {args.plot}")
     return 0
+
+
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(text.split(","))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -195,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_rates = sub.add_parser("rates", help="print the channel rate table")
-    _add_grid_args(p_rates)
+    _add_config_flags(p_rates, _GRID_FLAGS)
     p_rates.set_defaults(func=_cmd_rates)
 
     p_route = sub.add_parser("route", help="compute disjoint route pairs")
@@ -206,35 +192,41 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_alloc = sub.add_parser("allocate", help="run one allocation strategy")
     _add_loss_args(p_alloc)
-    _add_grid_args(p_alloc)
+    _add_config_flags(p_alloc, _GRID_FLAGS)
     p_alloc.add_argument("--strategy", required=True, choices=ALL_STRATEGIES)
     p_alloc.add_argument("--seed", type=int, default=None,
                          help="shuffle seed for order-sensitive strategies")
-    p_alloc.add_argument("--node-budget", type=int, default=2_000_000,
+    p_alloc.add_argument("--node-budget", type=int,
+                         default=_CONFIG_DEFAULTS["exact_node_budget"],
                          help="search budget for the exact strategy")
     p_alloc.set_defaults(func=_cmd_allocate)
 
     p_sweep = sub.add_parser("sweep", help="run a placement sweep, write CSV")
-    p_sweep.add_argument("--config", help="experiment config JSON")
-    p_sweep.add_argument("--topology", help="topology path or bundled name")
-    p_sweep.add_argument("--seed", type=int, default=None,
+    p_sweep.add_argument("--config",
+                         help="experiment config JSON; flags given override its keys")
+    p_sweep.add_argument("--topology", dest="topology_path",
+                         help="topology path or bundled name")
+    p_sweep.add_argument("--seed", type=int,
                          help="master seed (required without --config)")
-    p_sweep.add_argument("--runs", type=int, default=1000,
-                         help="runs per order-sensitive strategy (default 1000)")
-    p_sweep.add_argument("--wss-db", type=float, action="append",
-                         help="switch loss level, repeatable (default 4 and 8)")
-    p_sweep.add_argument("--strategies",
+    p_sweep.add_argument("--runs", type=int,
+                         help="runs per order-sensitive strategy "
+                              f"(default {_CONFIG_DEFAULTS['runs']})")
+    losses = " and ".join(f"{v:g}" for v in _CONFIG_DEFAULTS["wss_losses"])
+    p_sweep.add_argument("--wss-db", dest="wss_losses", type=float,
+                         action="append",
+                         help=f"switch loss level, repeatable (default {losses})")
+    p_sweep.add_argument("--strategies", type=_names,
                          help="comma-separated strategy list (default all)")
-    p_sweep.add_argument("--sources",
+    p_sweep.add_argument("--sources", type=_names,
                          help="comma-separated source placements (default all)")
-    p_sweep.add_argument("--out", help="output CSV path (default sweep.csv)")
+    p_sweep.add_argument("--out", dest="output_path",
+                         help="output CSV path (default sweep.csv)")
     p_sweep.add_argument("--plot", help="also write a grouped-bar SVG here")
-    _add_grid_args(p_sweep)
-    p_sweep.add_argument("--fiber-db-per-km", type=float, default=0.4,
-                         help="fiber attenuation (default 0.4 dB/km)")
+    _add_config_flags(p_sweep, _GRID_FLAGS + (_FIBER_FLAG,))
     p_sweep.add_argument("--exclude-u-turns", action="store_true",
                          help="forbid in-port to out-port at the same node")
-    p_sweep.set_defaults(func=_cmd_sweep)
+    # Parser-level defaults override the flags' own.
+    p_sweep.set_defaults(func=_cmd_sweep, **dict.fromkeys(_CONFIG_DEFAULTS))
     return parser
 
 

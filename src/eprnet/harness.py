@@ -1,11 +1,9 @@
 """Source-placement experiment sweeps with reproducible outputs.
 
 A sweep walks every combination of switch loss, source placement, and
-allocation strategy on one topology.  Strategies whose outcome depends on
-the order node pairs are processed in (first-fit, round-robin, random
-dealing, and the exact solver's tie breaking) are averaged over many runs,
-each with a freshly shuffled pair order; deterministic strategies run
-once.
+allocation strategy on one topology.  Order-sensitive strategies, whose
+outcome depends on the order node pairs are processed in, are averaged over
+many runs, each with a freshly shuffled pair order; the others run once.
 
 Randomness policy: every run's seed is derived from the master seed and
 the (loss, source, strategy, run) indices through a splitmix64 chain, and
@@ -19,13 +17,17 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
+import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .allocation import (
+    Allocation,
     AllocationInstance,
+    ExactResult,
     bezakova_matching,
     exact_maxmin,
     first_fit,
@@ -34,27 +36,42 @@ from .allocation import (
     random_balanced,
     round_robin,
 )
-from .metrics import jain_index, normalization_reference
+from .metrics import jain_index, normalization_reference, normalized_min_rate
 from .netgraph import LossParams, PhysicalTopology, build_routing_graph, load_topology
 from .routing import all_pair_routes
 from .spectrum import ChannelGrid, SpectrumProfile, generation_rates
 
-ALL_STRATEGIES = (
-    "exact", "first-fit", "round-robin", "random",
-    "lpt", "bd-matching", "lp-round",
-)
-ORDER_SENSITIVE = frozenset({"exact", "first-fit", "round-robin", "random"})
-
-_MASK64 = (1 << 64) - 1
-_CSV_COLUMNS = (
-    "topology", "wss_loss_db", "source_node", "strategy",
-    "mean_min_rate", "mean_min_rate_normalized", "mean_jain",
-    "runs", "seed", "status", "std_min_rate", "std_jain",
-)
-
 
 class ConfigError(ValueError):
     """Raised for invalid experiment configurations."""
+
+
+def _random(inst, order, seed, search):
+    if seed is None:
+        raise ConfigError("the random strategy requires a seed")
+    return random_balanced(inst, seed)
+
+
+# name -> (run, order_sensitive, gated), in sweep order: it fixes the row
+# order and each strategy's index in the run seeds.  run(instance, order,
+# seed, search) returns an Allocation, or the exact search's ExactResult; it
+# looks its allocation function up here when called, so patching this
+# module's attribute reaches every run.  Gated strategies get a "budget" row,
+# without running, beyond exact_max_mk channels times pairs.
+_STRATEGIES = {
+    "exact": (lambda inst, order, seed, search:
+              exact_maxmin(inst, pair_order=order, **search), True, True),
+    "first-fit": (lambda inst, order, *_: first_fit(inst, order), True, False),
+    "round-robin": (lambda inst, order, *_: round_robin(inst, order), True, False),
+    "random": (_random, True, False),
+    "lpt": (lambda inst, *_: modified_lpt(inst), False, False),
+    "bd-matching": (lambda inst, *_: bezakova_matching(inst), False, False),
+    "lp-round": (lambda inst, *_: lp_round(inst), False, False),
+}
+ALL_STRATEGIES = tuple(_STRATEGIES)
+ORDER_SENSITIVE = frozenset(name for name, entry in _STRATEGIES.items() if entry[1])
+
+_MASK64 = (1 << 64) - 1
 
 
 def splitmix64(value: int) -> int:
@@ -97,6 +114,8 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self) -> None:
+        for name, hint in typing.get_type_hints(ExperimentConfig).items():
+            object.__setattr__(self, name, _typed(name, hint, getattr(self, name)))
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
         if not self.wss_losses:
@@ -109,15 +128,12 @@ class ExperimentConfig:
                 f"unknown strategies: {', '.join(sorted(unknown))}; "
                 f"known: {', '.join(ALL_STRATEGIES)}"
             )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigError("seed must be an integer")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must fit in 64 bits")
         if self.channels < 1:
             raise ConfigError(f"channels must be >= 1, got {self.channels}")
-        for loss in self.wss_losses:
-            if not 0 <= loss < math.inf:
-                raise ConfigError(f"wss loss must be finite and >= 0 dB, got {loss}")
+        if min(self.wss_losses) < 0:
+            raise ConfigError(f"wss losses must be >= 0 dB, got {self.wss_losses}")
 
     def grid(self) -> ChannelGrid:
         return ChannelGrid(self.channels, self.channel_width_nm,
@@ -127,20 +143,36 @@ class ExperimentConfig:
         return SpectrumProfile(self.fwhm_nm, self.peak_rate)
 
 
-def config_from_json(path: str | Path) -> ExperimentConfig:
-    """Load a config file, rejecting unknown keys."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    for key in ("wss_losses", "strategies", "sources"):
-        if key in doc and doc[key] is not None:
-            doc[key] = tuple(doc[key])
-    try:
+def _typed(name: str, hint, value):
+    """``value`` as field ``name``'s declared type ``hint``, or ConfigError:
+    bool is neither int nor float, floats are finite, lists become tuples."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        return None if value is None else _typed(name, args[0], value)
+    if typing.get_origin(hint) is tuple:
+        if isinstance(value, (list, tuple)):
+            return tuple(_typed(name, args[0], v) for v in value)
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    kind = (int, float) if hint is float else hint
+    if (isinstance(value, kind) and isinstance(value, bool) == (hint is bool)
+            and (hint is not float or abs(value) <= sys.float_info.max)):
+        return hint(value)
+    what = "a finite float" if hint is float else hint.__name__
+    raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
+def config_from_json(path: str | Path | None, **overrides) -> ExperimentConfig:
+    """Build a config from a JSON file's keys (none if ``path`` is None)
+    with ``overrides`` laid over them; bad keys or values raise ConfigError.
+    """
+    doc = {}
+    if path is not None:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ConfigError("config must be a JSON object")
+    doc.update(overrides)
+    try:  # the TypeError names a missing or unknown key
         return ExperimentConfig(**doc)
     except TypeError as exc:
         raise ConfigError(str(exc)) from None
@@ -159,9 +191,12 @@ class SweepRow:
     mean_jain: float | None
     runs: int
     seed: int
-    status: str  # "ok", "skipped" (unroutable placement), "budget" (exact gated)
+    status: str  # "ok", "skipped" (unroutable placement), "budget" (gated or stopped)
     std_min_rate: float | None
     std_jain: float | None
+
+
+_CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 @dataclass(frozen=True)
@@ -255,50 +290,28 @@ def _run_strategy(config: ExperimentConfig, instance: AllocationInstance,
                   topo_name: str, wss: float, source: str, strategy: str,
                   reference: float, loss_idx: int, source_idx: int,
                   strategy_idx: int) -> SweepRow:
-    k = instance.pair_count
-    m = instance.channel_count
-    runs = config.runs if strategy in ORDER_SENSITIVE else 1
-    if strategy == "exact" and m * k > config.exact_max_mk:
+    _, order_sensitive, gated = _STRATEGIES[strategy]
+    runs = config.runs if order_sensitive else 1
+    if gated and instance.channel_count * instance.pair_count > config.exact_max_mk:
         return _blank_row(topo_name, wss, source, strategy, config.seed, "budget")
 
     min_rates: list[float] = []
     jains: list[float] = []
     status = "ok"
-    exact_hint: float | None = None
-    exact_warm: tuple[int, ...] | None = None
+    warm_start = {}
     for run_idx in range(runs):
         run_seed = derive_seed(config.seed, loss_idx, source_idx,
                                strategy_idx, run_idx)
-        rng = np.random.Generator(np.random.PCG64(run_seed))
-        perm = tuple(int(p) for p in rng.permutation(k))
-        if strategy == "first-fit":
-            allocation = first_fit(instance, perm)
-        elif strategy == "round-robin":
-            allocation = round_robin(instance, perm)
-        elif strategy == "random":
-            allocation = random_balanced(instance, run_seed)
-        elif strategy == "exact":
-            result = exact_maxmin(
-                instance, pair_order=perm,
-                node_budget=config.exact_node_budget,
-                target_hint=exact_hint, warm=exact_warm,
-            )
-            allocation = result.allocation
-            if not result.optimal:
-                status = "budget"
-            elif exact_hint is None:
-                # Later runs only need to reach the proven optimum; the
-                # winning assignment stays valid, so it re-seeds them.
-                exact_hint = allocation.min_rate
-                exact_warm = allocation.assignment
-        elif strategy == "lpt":
-            allocation = modified_lpt(instance)
-        elif strategy == "bd-matching":
-            allocation = bezakova_matching(instance)
-        elif strategy == "lp-round":
-            allocation = lp_round(instance)
-        else:  # pragma: no cover - guarded by ExperimentConfig
-            raise ConfigError(f"unknown strategy {strategy!r}")
+        allocation, completed = allocate_once(
+            instance, strategy, seed=run_seed,
+            node_budget=config.exact_node_budget, **warm_start)
+        if not completed:
+            status = "budget"
+        elif not warm_start:
+            # Later runs only need to reach the first proven optimum, and its
+            # assignment re-seeds them (only the exact search reads these).
+            warm_start = dict(target_hint=allocation.min_rate,
+                              warm=allocation.assignment)
         min_rates.append(allocation.min_rate)
         jains.append(jain_index(allocation.received))
 
@@ -307,7 +320,7 @@ def _run_strategy(config: ExperimentConfig, instance: AllocationInstance,
     return SweepRow(
         topology=topo_name, wss_loss_db=wss, source_node=source,
         strategy=strategy, mean_min_rate=mean_min,
-        mean_min_rate_normalized=mean_min / reference,
+        mean_min_rate_normalized=normalized_min_rate(mean_min, reference),
         mean_jain=mean_jain, runs=runs, seed=config.seed, status=status,
         std_min_rate=std_min, std_jain=std_jain,
     )
@@ -315,35 +328,28 @@ def _run_strategy(config: ExperimentConfig, instance: AllocationInstance,
 
 def allocate_once(instance: AllocationInstance, strategy: str, *,
                   seed: int | None = None,
-                  node_budget: int = 2_000_000):
-    """Run one strategy once and return its Allocation.
+                  node_budget: int = ExperimentConfig.exact_node_budget,
+                  target_hint: float | None = None,
+                  warm: tuple[int, ...] | None = None,
+                  ) -> tuple[Allocation, bool]:
+    """Run one strategy once; return its Allocation and whether it completed.
 
     ``seed`` feeds the pair-order shuffle for order-sensitive strategies
-    (and the channel shuffle for ``random``); omitting it keeps the
-    natural pair order.  ``random`` requires a seed.
+    (and the channel shuffle for ``random``, which requires it); omitting
+    it keeps the natural pair order.  The other keywords go to
+    ``exact_maxmin``, which alone can stop uncompleted, at its node budget.
     """
-    if strategy not in ALL_STRATEGIES:
+    if strategy not in _STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
-    perm: tuple[int, ...] | None = None
+    order = None
     if seed is not None:
         rng = np.random.Generator(np.random.PCG64(seed))
-        perm = tuple(int(p) for p in rng.permutation(instance.pair_count))
-    if strategy == "random":
-        if seed is None:
-            raise ConfigError("the random strategy requires a seed")
-        return random_balanced(instance, seed)
-    if strategy == "first-fit":
-        return first_fit(instance, perm)
-    if strategy == "round-robin":
-        return round_robin(instance, perm)
-    if strategy == "exact":
-        return exact_maxmin(instance, pair_order=perm,
-                            node_budget=node_budget).allocation
-    if strategy == "lpt":
-        return modified_lpt(instance)
-    if strategy == "bd-matching":
-        return bezakova_matching(instance)
-    return lp_round(instance)
+        order = tuple(int(p) for p in rng.permutation(instance.pair_count))
+    search = dict(node_budget=node_budget, target_hint=target_hint, warm=warm)
+    result = _STRATEGIES[strategy][0](instance, order, seed, search)
+    if isinstance(result, ExactResult):
+        return result.allocation, result.optimal
+    return result, True
 
 
 def _fmt(value: float | int | str | None) -> str:

@@ -174,14 +174,12 @@ def enumerate_best_min(etas: Sequence[float], rates: Sequence[float]) -> float:
     return best
 
 
-def lp_fractional_search(etas: Sequence[float], rates: Sequence[float],
-                         rel_tol: float = 1e-12) -> float:
-    """Fractional max-min optimum by binary search over LP feasibility.
+def lp_fractional_search(etas: Sequence[float], rates: Sequence[float]) -> float:
+    """Fractional max-min optimum as one linear program, solved by scipy.
 
-    Feasibility of target T: does a fractional channel split y >= 0 with
-    unit column sums exist such that every pair receives at least T?
-    Checked with scipy's linprog on each probe.  The instance is first
-    rescaled so the searched value sits near 1.0: the solver's absolute
+    Maximise T over fractional channel splits y >= 0 with unit column
+    sums such that every pair receives at least T.  The instance is first
+    rescaled so the optimum sits near 1.0: the solver's absolute
     feasibility slack (1e-10 at its tightest) would otherwise swamp tiny
     optima.  Scaling rates by s scales the optimum by s exactly, so the
     result is divided back out.
@@ -196,43 +194,27 @@ def lp_fractional_search(etas: Sequence[float], rates: Sequence[float],
     scale = math.fsum(1.0 / e for e in etas) / total
     scaled = [r * scale for r in rates]
 
-    def feasible(target: float) -> bool:
-        # Variables y[p, x] flattened row-major.
-        a_eq = np.zeros((m, k * m))
-        for x in range(m):
-            a_eq[x, x::m] = 1.0
-        b_eq = np.ones(m)
-        a_ub = np.zeros((k, k * m))
-        for p in range(k):
-            a_ub[p, p * m:(p + 1) * m] = [-etas[p] * scaled[x] for x in range(m)]
-        b_ub = np.full(k, -target)
-        # Default HiGHS feasibility slack (~1e-7) would bias the search
-        # high; 1e-10 is the tightest tolerance the solver accepts.
-        res = linprog(np.zeros(k * m), A_ub=a_ub, b_ub=b_ub, A_eq=a_eq,
-                      b_eq=b_eq, bounds=(0, 1), method="highs",
-                      options={"primal_feasibility_tolerance": 1e-10,
-                               "dual_feasibility_tolerance": 1e-10})
-        return res.status == 0
-
-    hi = math.fsum(scaled) * max(etas)
-    if hi <= 0:
-        return 0.0
-    lo = 0.0
-    # Expand hi until infeasible so the bracket is valid.
-    while feasible(hi):
-        lo = hi
-        hi *= 2
-        if hi > 1e30:
-            raise AssertionError("unbounded fractional optimum")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= rel_tol * max(hi, 1.0):
-            break
-    return lo / scale
+    # Variables: y[p, x] flattened row-major, then T.
+    a_eq = np.zeros((m, k * m + 1))
+    for x in range(m):
+        a_eq[x, x:k * m:m] = 1.0
+    b_eq = np.ones(m)
+    a_ub = np.zeros((k, k * m + 1))
+    for p in range(k):
+        a_ub[p, p * m:(p + 1) * m] = [-etas[p] * scaled[x] for x in range(m)]
+    a_ub[:, -1] = 1.0
+    b_ub = np.zeros(k)
+    cost = np.zeros(k * m + 1)
+    cost[-1] = -1.0
+    # Default HiGHS feasibility slack (~1e-7) would bias the optimum
+    # high; 1e-10 is the tightest tolerance the solver accepts.
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                  bounds=[(0, 1)] * (k * m) + [(0, None)], method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    if res.status != 0:
+        raise AssertionError(f"linprog failed: {res.message}")
+    return res.x[-1] / scale
 
 
 # --- unpruned exact search -------------------------------------------------

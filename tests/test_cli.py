@@ -1,10 +1,14 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from eprnet.cli import main
+from eprnet.harness import read_csv_rows
+
+RING4 = Path(__file__).resolve().parent / "golden" / "ring4.json"
 
 
 def run(capsys, *argv):
@@ -129,6 +133,14 @@ class TestAllocate:
                            "--channels", "1500", "--node-budget", "5000")
         assert code == 0
         assert "minimum rate:" in out
+        assert out.splitlines()[-1] == "status: budget"
+
+    def test_exact_proven_optimum_reports_ok(self, capsys):
+        code, out, _ = run(capsys, "allocate", "--topology", str(RING4),
+                           "--source", "a", "--strategy", "exact",
+                           "--channels", "10")
+        assert code == 0
+        assert out.splitlines()[-1] == "status: ok"
 
     def test_unknown_strategy_is_usage_error(self, capsys):
         with pytest.raises(SystemExit):
@@ -192,6 +204,47 @@ class TestSweep:
                          "--seed", "5", "--out", str(out_csv))
         assert code == 0
         assert "seed=5" in out_csv.read_text().splitlines()[0]
+
+    def test_flags_override_config_keys(self, capsys, tmp_path):
+        config = {
+            "topology_path": "simple6", "seed": 21, "wss_losses": [8.0],
+            "strategies": ["lpt"], "runs": 1, "sources": ["A"],
+            "channels": 16, "output_path": str(tmp_path / "unused.csv"),
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out_csv = tmp_path / "o.csv"
+        code, _, _ = run(capsys, "sweep", "--config", str(path),
+                         "--runs", "7", "--strategies", "first-fit",
+                         "--wss-db", "2", "--out", str(out_csv))
+        assert code == 0
+        rows = read_csv_rows(out_csv)
+        assert [(r["strategy"], r["wss_loss_db"], r["runs"], r["seed"])
+                for r in rows] == [("first-fit", "2", "7", "21")]
+        assert not (tmp_path / "unused.csv").exists()
+
+    @pytest.mark.parametrize("flag", [("--peak-rate", "0"),
+                                      ("--fwhm-nm", "1e-6")])
+    def test_zero_reference_is_one_line_error(self, capsys, tmp_path, flag):
+        code, out, err = run(capsys, "sweep", "--topology", "simple6",
+                             "--seed", "1", "--runs", "1", *flag,
+                             "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "reference" in lines[0]
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_bad_config_type_is_one_line_error(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"topology_path": "simple6", "seed": 1,
+                                    "channels": 20.5}))
+        code, _, err = run(capsys, "sweep", "--config", str(path),
+                           "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "channels" in lines[0]
 
     def test_bad_strategy_flag(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "--topology", "simple6",

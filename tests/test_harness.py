@@ -1,8 +1,12 @@
 import json
 import math
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eprnet import (
     ALL_STRATEGIES,
@@ -63,6 +67,38 @@ class TestSeeding:
         assert derive_seed(8, 0, 0, 0, 0) != base
 
 
+# Declared field types, written out independently of the annotations: a
+# type; a one-element list or tuple for a tuple of it; a one-element set for
+# "it or None".
+FIELD_TYPES = {
+    "topology_path": str, "seed": int, "wss_losses": [float],
+    "strategies": [str], "runs": int, "sources": {(str,)},
+    "channels": int, "channel_width_nm": float, "channel_pitch_nm": float,
+    "center_wavelength_nm": float, "fwhm_nm": float, "peak_rate": float,
+    "fiber_loss_db_per_km": float, "exclude_u_turns": bool,
+    "exact_max_mk": int, "exact_node_budget": int, "output_path": {str},
+}
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 300), st.integers(),
+    st.floats(), st.floats(0.0, 100.0), st.text(max_size=3),
+    st.sampled_from(ALL_STRATEGIES),
+)
+CONFIG_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3))
+
+
+def has_type(value, kind):
+    if isinstance(kind, set):
+        (inner,) = kind
+        return value is None or has_type(value, inner)
+    if isinstance(kind, (list, tuple)):
+        return (type(value) is tuple
+                and all(has_type(item, kind[0]) for item in value))
+    if kind is float:
+        return type(value) is float and math.isfinite(value)
+    return type(value) is kind
+
+
 class TestConfig:
     def test_defaults(self):
         config = ExperimentConfig(topology_path="simple6", seed=1)
@@ -95,6 +131,21 @@ class TestConfig:
         '"seed": false',
         '"seed": 1, "wss_losses": [NaN]',
         '"seed": 1, "wss_losses": [4.0, Infinity]',
+        '"seed": 1, "runs": 2.5',
+        '"seed": 1, "channels": 20.5',
+        '"seed": 1, "channel_width_nm": "0.1"',
+        '"seed": 1, "exact_max_mk": "x"',
+        '"seed": 1, "exact_node_budget": null',
+        '"seed": 1, "sources": 5',
+        '"seed": 1, "sources": "AB"',
+        '"seed": 1, "strategies": [1]',
+        '"seed": 1, "exclude_u_turns": "no"',
+        '"seed": 1, "exclude_u_turns": 0',
+        '"seed": 1, "topology_path": 7',
+        '"seed": 1, "output_path": 7',
+        '"seed": 1, "peak_rate": true',
+        '"seed": 1, "fwhm_nm": 1e400',
+        '"seed": 1.0',
     ])
     def test_invalid_json_values_rejected(self, tmp_path, bad):
         path = tmp_path / "config.json"
@@ -118,6 +169,29 @@ class TestConfig:
         assert config.wss_losses == (4.0, 8.0)
         assert config.strategies == ("lpt",)
         assert config.sources == ("A",)
+
+    def test_json_numbers_take_the_declared_types(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"topology_path": "simple6", "seed": 1,
+                                    "wss_losses": [4, 8], "peak_rate": 2}))
+        config = config_from_json(path)
+        assert config.wss_losses == (4.0, 8.0)
+        assert type(config.peak_rate) is float
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.sampled_from(sorted(FIELD_TYPES)), CONFIG_VALUES,
+                           max_size=4))
+    def test_loaded_fields_have_their_declared_types(self, changes):
+        doc = {"topology_path": "simple6", "seed": 1, **changes}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(doc))
+            try:
+                config = config_from_json(path)
+            except ConfigError:
+                return
+        for name, kind in FIELD_TYPES.items():
+            assert has_type(getattr(config, name), kind), name
 
     def test_unknown_json_key_rejected(self, tmp_path):
         path = tmp_path / "config.json"
@@ -191,6 +265,37 @@ class TestSweep:
                               exact_max_mk=10)
         report = run_placement_sweep(config)
         assert all(r.status == "budget" for r in report.rows)
+
+    def test_budget_stop_marks_exact(self):
+        config = small_config(strategies=("exact",), runs=2, channels=8,
+                              exact_node_budget=1)
+        report = run_placement_sweep(config)
+        assert all(r.status == "budget" and r.runs == 2
+                   and r.mean_min_rate is not None for r in report.rows)
+
+    def test_strategies_run_through_module_names(self, monkeypatch):
+        # Patching a harness attribute must reach every run (the benchmark's
+        # tracer relies on it), and exact's warm start is passed by keyword.
+        from eprnet import harness
+        calls = []
+        for name in ("exact_maxmin", "first_fit", "round_robin",
+                     "random_balanced", "modified_lpt", "bezakova_matching",
+                     "lp_round"):
+            def counting(*args, _name=name, _fn=getattr(harness, name), **kw):
+                calls.append((_name, kw.get("warm") is not None))
+                return _fn(*args, **kw)
+            monkeypatch.setattr(harness, name, counting)
+        ring4 = Path(__file__).resolve().parent / "golden" / "ring4.json"
+        config = small_config(topology_path=str(ring4), sources=("a",),
+                              strategies=ALL_STRATEGIES, runs=3, channels=8)
+        run_placement_sweep(config)
+        assert calls == [
+            ("exact_maxmin", False), ("exact_maxmin", True),
+            ("exact_maxmin", True),
+            *[("first_fit", False)] * 3, *[("round_robin", False)] * 3,
+            *[("random_balanced", False)] * 3, ("modified_lpt", False),
+            ("bezakova_matching", False), ("lp_round", False),
+        ]
 
     def test_each_placement_routed_once_per_loss(self, monkeypatch):
         from eprnet import harness, metrics
@@ -326,8 +431,21 @@ class TestAllocateOnce:
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_every_strategy_dispatches(self, strategy):
-        allocation = allocate_once(self.make_instance(), strategy, seed=3)
+        allocation, completed = allocate_once(self.make_instance(), strategy,
+                                              seed=3)
         assert len(allocation.assignment) == 4
+        assert completed
+
+    def test_exact_budget_stop_is_not_completed(self):
+        etas = (1.0, 0.8, 0.6, 0.5, 0.3, 0.2)
+        rates = RateVector(tuple(1.0 / (x + 1) for x in range(10)))
+        instance = AllocationInstance(etas, rates)
+        allocation, completed = allocate_once(instance, "exact", seed=3,
+                                              node_budget=5)
+        assert not completed
+        assert len(allocation.assignment) == 10
+        _, completed = allocate_once(instance, "exact", seed=3)
+        assert completed
 
     def test_random_needs_seed(self):
         with pytest.raises(ConfigError):
