@@ -64,7 +64,6 @@ from .routing import (
     RouteTable,
     RoutingError,
     all_pair_routes,
-    pair_route,
     route_nodes,
     suurballe_disjoint_pair,
 )

@@ -16,9 +16,9 @@ and never reused) and chases the max-min received rate:
 * ``lp_round``            - water-filling rounded to whole channels
 
 Channel and pair indices are 0-based throughout.  Received rates are
-always computed the same way (per pair, channel rates summed in ascending
-channel order, then scaled), so independently produced allocations with
-the same assignment compare bit-for-bit equal.
+always computed the same way (per pair, the exactly rounded sum of its
+channel rates, ``math.fsum``, times its transmittance), so independently
+produced allocations with the same assignment compare bit-for-bit equal.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import bisect
 import math
 import operator
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -84,39 +84,22 @@ class ExactResult:
     nodes_explored: int
 
 
-def received_rates(
-    instance: AllocationInstance,
-    assignment: Sequence[int] | Mapping[int, int],
-) -> tuple[float, ...]:
+def received_rates(instance: AllocationInstance,
+                   assignment: Sequence[int]) -> tuple[float, ...]:
     """Received rate of every pair under a total assignment.
 
-    Pair sums are exactly rounded (math.fsum), so a pair's rate depends
-    only on which channels it owns, never on their enumeration order.
-
-    Args:
-        assignment: either a length-m sequence where entry x names the
-            pair owning channel x, or an equivalent {channel: pair} map.
+    Entry x of ``assignment`` names the pair owning channel x.  Pair sums
+    are exactly rounded (math.fsum), so a pair's rate depends only on
+    which channels it owns, never on their enumeration order.
 
     Raises:
-        AllocationError: if any channel is unassigned, assigned twice, or
-            assigned to an out-of-range pair.
+        AllocationError: if the assignment's length is not the channel
+            count, or an entry is not a pair index in 0..k-1.
     """
     k, m = instance.pair_count, instance.channel_count
-    if isinstance(assignment, Mapping):
-        if set(assignment) != set(range(m)):
-            missing = sorted(set(range(m)) - set(assignment))
-            extra = sorted(set(assignment) - set(range(m)))
-            raise AllocationError(
-                f"assignment must cover channels 0..{m - 1} exactly once"
-                f" (missing {missing}, unknown {extra})"
-            )
-        dense = [assignment[x] for x in range(m)]
-    else:
-        dense = list(assignment)
-        if len(dense) != m:
-            raise AllocationError(
-                f"assignment length {len(dense)} != channel count {m}"
-            )
+    dense = list(assignment)
+    if len(dense) != m:
+        raise AllocationError(f"assignment length {len(dense)} != channel count {m}")
     owned: list[list[float]] = [[] for _ in range(k)]
     for x, p in enumerate(dense):
         if not isinstance(p, (int, np.integer)) or not 0 <= p < k:
@@ -155,14 +138,7 @@ def fractional_optimum(instance: AllocationInstance) -> float:
     and the budget balances at that T.  This is an upper bound for every
     indivisible allocation.
     """
-    for eta in instance.etas:
-        if eta <= 0:
-            raise AllocationError(f"eta must be > 0, got {eta}")
-    total = 0.0
-    for r in instance.rates:
-        total += r
-    denom = math.fsum(1.0 / eta for eta in instance.etas)
-    return total / denom
+    return instance.rates.total / math.fsum(1.0 / eta for eta in instance.etas)
 
 
 def exact_maxmin(
@@ -220,7 +196,11 @@ def exact_maxmin(
     Returns:
         ExactResult; ``allocation.received`` uses the canonical rate
         computation, so its minimum compares exactly with enumeration.
+        With fewer channels than pairs every assignment leaves a pair at
+        rate 0, so the heuristic seed is returned as optimal at the root.
     """
+    if node_budget < 1:
+        raise AllocationError(f"node_budget must be >= 1, got {node_budget}")
     k, m = instance.pair_count, instance.channel_count
     # Pairs in tie-break order: a stable sort of this list by received
     # rate orders children by (rate, position in pair_order).
@@ -261,7 +241,7 @@ def exact_maxmin(
             seed_alloc = cand
     best_assign = list(seed_alloc.assignment)
     best_value = seed_alloc.min_rate
-    if target_hint is not None and best_value >= target_hint:
+    if m < k or (target_hint is not None and best_value >= target_hint):
         return ExactResult(seed_alloc, True, 0)
 
     def mass_goals(threshold: float) -> list[float]:
@@ -406,7 +386,12 @@ def round_robin(
 
 
 def random_balanced(instance: AllocationInstance, rng_seed: int) -> Allocation:
-    """Uniformly shuffle channels, then deal so counts differ by <= 1."""
+    """Uniformly shuffle channels, then deal so counts differ by <= 1.
+
+    ``rng_seed`` is required: None would seed from OS entropy.
+    """
+    if rng_seed is None:
+        raise AllocationError("the random strategy requires a seed")
     k, m = instance.pair_count, instance.channel_count
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     perm = rng.permutation(m)

@@ -26,8 +26,10 @@ from .harness import (
     run_placement_sweep,
 )
 from .metrics import jain_index
-from .netgraph import LossParams, TopologyError, build_routing_graph, load_topology
-from .routing import all_pair_routes, route_nodes
+from .netgraph import (
+    LossParams, TopologyError, build_routing_graph, load_topology, mem_vertex,
+)
+from .routing import RoutingError, all_pair_routes, route_nodes
 from .spectrum import (
     ChannelGrid,
     SpectrumProfile,
@@ -68,9 +70,6 @@ def _add_loss_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--wss-db", type=float, default=8.0,
                         help="per-switch loss in dB (default 8)")
     _add_config_flags(parser, [_FIBER_FLAG])
-    parser.add_argument("--exclude-u-turns", action="store_true",
-                        help="forbid routes that bounce through a node back "
-                             "onto the arriving fiber")
 
 
 def _grid_from_args(args: argparse.Namespace) -> tuple[ChannelGrid, SpectrumProfile]:
@@ -94,14 +93,18 @@ def _cmd_rates(args: argparse.Namespace) -> int:
 def _route_table(args: argparse.Namespace):
     topology = load_topology(args.topology)
     loss = LossParams(args.fiber_loss_db_per_km, args.wss_db)
-    graph = build_routing_graph(topology, args.source, loss,
-                                exclude_u_turns=args.exclude_u_turns)
+    graph = build_routing_graph(topology, args.source, loss)
     return graph, all_pair_routes(graph)
 
 
 def _cmd_route(args: argparse.Namespace) -> int:
     graph, table = _route_table(args)
     if args.pair:
+        if args.pair[0] == args.pair[1]:
+            raise RoutingError("a pair needs two distinct nodes")
+        for node in args.pair:
+            if mem_vertex(node) not in graph.vertices:
+                raise RoutingError(f"unknown node {node!r}")
         want = tuple(sorted(args.pair))
         plan = table.plans.get(want)
         if plan is None:
@@ -223,8 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="output CSV path (default sweep.csv)")
     p_sweep.add_argument("--plot", help="also write a grouped-bar SVG here")
     _add_config_flags(p_sweep, _GRID_FLAGS + (_FIBER_FLAG,))
-    p_sweep.add_argument("--exclude-u-turns", action="store_true",
-                         help="forbid in-port to out-port at the same node")
     # Parser-level defaults override the flags' own.
     p_sweep.set_defaults(func=_cmd_sweep, **dict.fromkeys(_CONFIG_DEFAULTS))
     return parser

@@ -37,19 +37,13 @@ from .allocation import (
     round_robin,
 )
 from .metrics import jain_index, normalization_reference, normalized_min_rate
-from .netgraph import LossParams, PhysicalTopology, build_routing_graph, load_topology
+from .netgraph import LossParams, build_routing_graph, load_topology
 from .routing import all_pair_routes
 from .spectrum import ChannelGrid, SpectrumProfile, generation_rates
 
 
 class ConfigError(ValueError):
     """Raised for invalid experiment configurations."""
-
-
-def _random(inst, order, seed, search):
-    if seed is None:
-        raise ConfigError("the random strategy requires a seed")
-    return random_balanced(inst, seed)
 
 
 # name -> (run, order_sensitive, gated), in sweep order: it fixes the row
@@ -63,7 +57,7 @@ _STRATEGIES = {
               exact_maxmin(inst, pair_order=order, **search), True, True),
     "first-fit": (lambda inst, order, *_: first_fit(inst, order), True, False),
     "round-robin": (lambda inst, order, *_: round_robin(inst, order), True, False),
-    "random": (_random, True, False),
+    "random": (lambda inst, order, seed, _: random_balanced(inst, seed), True, False),
     "lpt": (lambda inst, *_: modified_lpt(inst), False, False),
     "bd-matching": (lambda inst, *_: bezakova_matching(inst), False, False),
     "lp-round": (lambda inst, *_: lp_round(inst), False, False),
@@ -108,7 +102,6 @@ class ExperimentConfig:
     fwhm_nm: float = 9.0
     peak_rate: float = 1.0
     fiber_loss_db_per_km: float = 0.4
-    exclude_u_turns: bool = False
     exact_max_mk: int = 512
     exact_node_budget: int = 2_000_000
     output_path: str | None = None
@@ -134,6 +127,11 @@ class ExperimentConfig:
             raise ConfigError(f"channels must be >= 1, got {self.channels}")
         if min(self.wss_losses) < 0:
             raise ConfigError(f"wss losses must be >= 0 dB, got {self.wss_losses}")
+        if self.exact_max_mk < 0:
+            raise ConfigError(f"exact_max_mk must be >= 0, got {self.exact_max_mk}")
+        if self.exact_node_budget < 1:
+            raise ConfigError(
+                f"exact_node_budget must be >= 1, got {self.exact_node_budget}")
 
     def grid(self) -> ChannelGrid:
         return ChannelGrid(self.channels, self.channel_width_nm,
@@ -229,8 +227,7 @@ def _blank_row(topology: str, loss: float, source: str, strategy: str,
                     0, seed, status, None, None)
 
 
-def run_placement_sweep(config: ExperimentConfig,
-                        topology: PhysicalTopology | None = None) -> ExperimentReport:
+def run_placement_sweep(config: ExperimentConfig) -> ExperimentReport:
     """Execute the full sweep described by ``config``.
 
     Placements with unroutable pairs yield rows marked ``skipped``; the
@@ -239,8 +236,7 @@ def run_placement_sweep(config: ExperimentConfig,
     are dropped from large studies.  Every (loss, source, strategy) combo
     contributes exactly one row.
     """
-    if topology is None:
-        topology = load_topology(config.topology_path)
+    topology = load_topology(config.topology_path)
     grid = config.grid()
     profile = config.profile()
     rates = generation_rates(grid, profile)
@@ -256,15 +252,10 @@ def run_placement_sweep(config: ExperimentConfig,
         loss = LossParams(config.fiber_loss_db_per_km, wss)
         # Every placement is routed once per loss value; the normalization
         # reference and the swept sources share these tables.
-        tables = {
-            node: all_pair_routes(build_routing_graph(
-                topology, node, loss, exclude_u_turns=config.exclude_u_turns))
-            for node in topology.node_ids
-        }
-        reference = normalization_reference(
-            topology, loss, grid, profile,
-            exclude_u_turns=config.exclude_u_turns, tables=tables,
-        )
+        tables = {node: all_pair_routes(build_routing_graph(topology, node, loss))
+                  for node in topology.node_ids}
+        reference = normalization_reference(topology, loss, grid, profile,
+                                            tables=tables)
         references.append((wss, reference))
         for source_idx, source in enumerate(sources):
             table = tables[source]

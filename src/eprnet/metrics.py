@@ -11,6 +11,8 @@ sources.
 from __future__ import annotations
 
 import logging
+from functools import reduce
+from operator import add
 from typing import Mapping, Sequence
 
 from .netgraph import LossParams, PhysicalTopology, build_routing_graph
@@ -41,10 +43,12 @@ def jain_index(received: Sequence[float]) -> float:
         # The squares would fall into the subnormal range and lose their
         # precision; the index is scale-invariant, so rescale first.
         values = [v / peak for v in values]
-    square_sum = sum(v * v for v in values)
+    # Left-to-right sums: builtin sum() compensates its rounding from
+    # Python 3.12 on, which would make the index depend on the interpreter.
+    square_sum = reduce(add, (v * v for v in values), 0.0)
     if square_sum == 0.0:
         return 1.0
-    total = sum(values)
+    total = reduce(add, values, 0.0)
     return (total * total) / (len(values) * square_sum)
 
 
@@ -54,7 +58,6 @@ def normalization_reference(
     grid: ChannelGrid,
     profile: SpectrumProfile,
     *,
-    exclude_u_turns: bool = False,
     tables: Mapping[str, RouteTable] | None = None,
 ) -> float:
     """Whole-spectrum rate of the worst pair under the worst placement.
@@ -66,16 +69,14 @@ def normalization_reference(
 
     ``tables`` passes in route tables that are already computed, keyed by
     source.  They must cover every node id of the topology and have been
-    routed with the same ``loss`` and ``exclude_u_turns``.  Without them
-    every placement is routed here.
+    routed with the same ``loss``.  Without them every placement is routed
+    here.
     """
     total_rate = generation_rates(grid, profile).total
     reference = None
     for source in topology.node_ids:
         if tables is None:
-            graph = build_routing_graph(topology, source, loss,
-                                        exclude_u_turns=exclude_u_turns)
-            table = all_pair_routes(graph)
+            table = all_pair_routes(build_routing_graph(topology, source, loss))
         elif source in tables:
             table = tables[source]
         else:

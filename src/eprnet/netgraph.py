@@ -270,22 +270,22 @@ class RoutingGraph:
     edges: tuple[GraphEdge, ...]
 
 
-def build_routing_graph(
-    topology: PhysicalTopology,
-    source: str,
-    loss: LossParams,
-    *,
-    exclude_u_turns: bool = False,
-) -> RoutingGraph:
+def build_routing_graph(topology: PhysicalTopology, source: str,
+                        loss: LossParams) -> RoutingGraph:
     """Expand a topology into the directed loss graph for one source.
+
+    The graph keeps U-turn edges, which send a photon back out on the
+    fiber it arrived on (``in(i, j) -> out(i, j)``), though a minimum-loss
+    route never needs one.  Cutting the detour ``j -> i -> j`` out of a
+    path saves two fiber spans and two node transits (all lossless only
+    when every weight is 0, and then every eta is 1 anyway).  The shortcut
+    edge at j stays disjoint from the other path: it can only be entered
+    through the fiber this path already uses.
 
     Args:
         topology: physical fiber network.
         source: id of the site hosting the generator.
         loss: loss model constants.
-        exclude_u_turns: when True, omit pass-through edges that send a
-            photon back out on the fiber it arrived from.  They are kept
-            by default; route disjointness makes them harmless.
 
     Returns:
         RoutingGraph with deterministic vertex and edge ordering.
@@ -321,7 +321,7 @@ def build_routing_graph(
         nbrs = topology.neighbors(i)
         for j in nbrs:
             for k in nbrs:
-                if k == source or (exclude_u_turns and j == k):
+                if k == source:
                     continue
                 edges.append(
                     GraphEdge(in_port(i, j), out_port(i, k), 2 * wss, "transit")

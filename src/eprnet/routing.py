@@ -50,7 +50,7 @@ _Arc = tuple[int, int, float]
 
 
 class RoutingError(ValueError):
-    """Raised for malformed routing queries (unknown nodes, bad graphs)."""
+    """Raised for malformed routing queries and graphs."""
 
 
 @dataclass(frozen=True)
@@ -268,26 +268,12 @@ def _plan(graph: RoutingGraph, placement: _Placement,
                      total_loss_db=total, eta=transmittance(total))
 
 
-def pair_route(graph: RoutingGraph, i: str, j: str) -> RoutePlan | None:
-    """Joint minimum-loss disjoint light paths serving the pair (i, j).
-
-    Returns None when the placement cannot serve the pair.  The source's
-    own memory is a valid endpoint, reached directly from the generator.
-    """
-    if i == j:
-        raise RoutingError("a pair needs two distinct nodes")
-    placement, index = _compile_graph(graph)
-    for node in (i, j):
-        if mem_vertex(node) not in index:
-            raise RoutingError(f"unknown node {node!r}")
-    a, b = sorted((i, j))
-    return _plan(graph, placement, index, a, b)
-
-
 def all_pair_routes(graph: RoutingGraph) -> RouteTable:
     """Route every unordered node pair; collect the unservable ones.
 
-    The graph is compiled and its first pass run once for all pairs.
+    The graph is compiled and its first pass run once for all pairs.  The
+    source's own memory is a valid endpoint, reached directly from the
+    generator.
     """
     placement, index = _compile_graph(graph)
     nodes = sorted(v[1] for v in graph.vertices if v[0] == "mem")

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 SPEED_OF_LIGHT_NM_THZ = 299792.458
 """Speed of light expressed in nm*THz, so wavelength math stays in nm."""
@@ -84,7 +86,8 @@ class RateVector:
 
     @property
     def total(self) -> float:
-        return sum(self.rates)
+        """Left-to-right sum; builtin sum() compensates from Python 3.12 on."""
+        return reduce(add, self.rates, 0.0)
 
 
 def _check_index(grid: ChannelGrid, x: int) -> None:

@@ -128,24 +128,21 @@ class TestReceivedRates:
         inst = make_instance([0.5, 0.1], [4.0, 4.0])
         assert received_rates(inst, [0, 1]) == (2.0, pytest.approx(0.4, rel=1e-15))
 
-    def test_mapping_form(self):
-        inst = make_instance([1.0, 1.0], [2.0, 1.0])
-        assert received_rates(inst, {1: 0, 0: 1}) == (1.0, 2.0)
-
     def test_wrong_length_rejected(self):
         inst = make_instance([1.0], [1.0, 1.0])
         with pytest.raises(AllocationError):
             received_rates(inst, [0])
 
     def test_missing_channel_rejected(self):
-        inst = make_instance([1.0], [1.0, 1.0])
+        # -1 marks an unassigned channel; it must not index the last pair.
+        inst = make_instance([1.0, 1.0], [1.0, 1.0])
         with pytest.raises(AllocationError):
-            received_rates(inst, {0: 0})
+            received_rates(inst, [0, -1])
 
     def test_unknown_channel_rejected(self):
         inst = make_instance([1.0], [1.0])
         with pytest.raises(AllocationError):
-            received_rates(inst, {0: 0, 3: 0})
+            received_rates(inst, [0, 0])
 
     def test_out_of_range_pair_rejected(self):
         inst = make_instance([1.0, 1.0], [1.0, 1.0])
@@ -303,6 +300,22 @@ class TestExactMaxmin:
         with pytest.raises(AllocationError):
             exact_maxmin(inst, pair_order=[0, 0])
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_node_budget_below_one_rejected(self, budget):
+        inst = make_instance([1.0, 1.0], [1.0, 1.0])
+        with pytest.raises(AllocationError, match="node_budget"):
+            exact_maxmin(inst, node_budget=budget)
+
+    def test_fewer_channels_than_pairs_optimal_at_root(self):
+        # Every assignment leaves a pair at rate 0, so the seed is optimal
+        # and no search node is needed.
+        inst = make_instance([0.9, 0.5, 0.2], [1.0, 2.0])
+        res = exact_maxmin(inst, node_budget=1)
+        assert res.optimal
+        assert res.nodes_explored == 0
+        assert res.allocation.min_rate == 0.0
+        assert res.allocation.assignment == reference_exact_dfs(inst)
+
 
 class TestFirstFit:
     def test_uniform_example(self):
@@ -383,6 +396,12 @@ class TestRandomBalanced:
         inst = make_instance([0.5, 0.25, 1.0], [1.0, 2.0, 3.0, 4.0, 5.0])
         assert random_balanced(inst, 42).assignment == \
             random_balanced(inst, 42).assignment
+
+    def test_missing_seed_rejected(self):
+        # numpy would seed a None from OS entropy.
+        inst = make_instance([1.0, 1.0], [1.0] * 40)
+        with pytest.raises(AllocationError, match="seed"):
+            random_balanced(inst, None)
 
     def test_uniform_first_channel(self):
         # m=2, k=2: a uniform shuffle puts channel 0 on pair 0 half the

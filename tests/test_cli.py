@@ -102,6 +102,20 @@ class TestRoute:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_unknown_pair_node_is_one_line_error(self, capsys):
+        code, out, err = run(capsys, "route", "--topology", "simple6",
+                             "--source", "A", "--pair", "A", "ZZ")
+        assert code == 1
+        assert out == ""
+        assert err == "error: unknown node 'ZZ'\n"
+
+    def test_repeated_pair_node_is_one_line_error(self, capsys):
+        code, out, err = run(capsys, "route", "--topology", "simple6",
+                             "--source", "A", "--pair", "B", "B")
+        assert code == 1
+        assert out == ""
+        assert err == "error: a pair needs two distinct nodes\n"
+
 
 class TestAllocate:
     def test_lpt_smoke(self, capsys):
@@ -117,7 +131,9 @@ class TestAllocate:
                            "--source", "A", "--strategy", "random",
                            "--channels", "16")
         assert code == 1
-        assert "seed" in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "seed" in lines[0]
 
     def test_random_with_seed(self, capsys):
         code, out, _ = run(capsys, "allocate", "--topology", "simple6",
@@ -134,6 +150,24 @@ class TestAllocate:
         assert code == 0
         assert "minimum rate:" in out
         assert out.splitlines()[-1] == "status: budget"
+
+    def test_exact_fewer_channels_than_pairs_reports_ok(self, capsys):
+        # 10 channels for 15 pairs: the seed is optimal at the root.
+        code, out, _ = run(capsys, "allocate", "--topology", "simple6",
+                           "--source", "A", "--strategy", "exact",
+                           "--channels", "10")
+        assert code == 0
+        assert out.splitlines()[-1] == "status: ok"
+
+    def test_exact_zero_node_budget_is_one_line_error(self, capsys):
+        code, out, err = run(capsys, "allocate", "--topology", "simple6",
+                             "--source", "A", "--strategy", "exact",
+                             "--channels", "16", "--node-budget", "0")
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "node_budget" in lines[0]
 
     def test_exact_proven_optimum_reports_ok(self, capsys):
         code, out, _ = run(capsys, "allocate", "--topology", str(RING4),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from eprnet import (
     ALL_STRATEGIES,
     ORDER_SENSITIVE,
+    AllocationError,
     AllocationInstance,
     ConfigError,
     ExperimentConfig,
@@ -75,7 +76,7 @@ FIELD_TYPES = {
     "strategies": [str], "runs": int, "sources": {(str,)},
     "channels": int, "channel_width_nm": float, "channel_pitch_nm": float,
     "center_wavelength_nm": float, "fwhm_nm": float, "peak_rate": float,
-    "fiber_loss_db_per_km": float, "exclude_u_turns": bool,
+    "fiber_loss_db_per_km": float,
     "exact_max_mk": int, "exact_node_budget": int, "output_path": {str},
 }
 
@@ -119,6 +120,8 @@ class TestConfig:
         dict(seed=False),
         dict(wss_losses=(math.nan,)),
         dict(wss_losses=(4.0, math.inf)),
+        dict(exact_node_budget=0),
+        dict(exact_max_mk=-5),
     ])
     def test_invalid_values_rejected(self, bad):
         base = dict(topology_path="simple6", seed=1)
@@ -139,8 +142,10 @@ class TestConfig:
         '"seed": 1, "sources": 5',
         '"seed": 1, "sources": "AB"',
         '"seed": 1, "strategies": [1]',
+        # A removed key is refused, whatever its value.
         '"seed": 1, "exclude_u_turns": "no"',
         '"seed": 1, "exclude_u_turns": 0',
+        '"seed": 1, "exclude_u_turns": false',
         '"seed": 1, "topology_path": 7',
         '"seed": 1, "output_path": 7',
         '"seed": 1, "peak_rate": true',
@@ -267,7 +272,9 @@ class TestSweep:
         assert all(r.status == "budget" for r in report.rows)
 
     def test_budget_stop_marks_exact(self):
-        config = small_config(strategies=("exact",), runs=2, channels=8,
+        # 16 channels for 15 pairs: with fewer channels than pairs the seed
+        # would be optimal at the root, and no search would stop.
+        config = small_config(strategies=("exact",), runs=2, channels=16,
                               exact_node_budget=1)
         report = run_placement_sweep(config)
         assert all(r.status == "budget" and r.runs == 2
@@ -448,7 +455,7 @@ class TestAllocateOnce:
         assert completed
 
     def test_random_needs_seed(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(AllocationError, match="seed"):
             allocate_once(self.make_instance(), "random")
 
     def test_unknown_strategy_rejected(self):

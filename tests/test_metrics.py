@@ -55,6 +55,11 @@ class TestJainIndex:
     def test_single_consumer(self):
         assert jain_index([5.0]) == 1.0
 
+    def test_sums_left_to_right(self):
+        # Each 1e-16 is lost against 1.0 in a plain sum; a compensated one
+        # (builtin sum() from Python 3.12) would keep them.
+        assert jain_index([1.0] + [1e-16] * 10) == 1.0 / 11
+
     def test_empty_rejected(self):
         with pytest.raises(MetricsError):
             jain_index([])

@@ -109,23 +109,19 @@ class TestGraphInvariants:
             else:
                 assert e.weight_db > 0
 
-    def test_u_turn_exclusion_flag(self, default_loss):
+    def test_default_graph_keeps_u_turns(self, default_loss):
+        # Routes never take them (tests/test_routing.py checks that); the
+        # graph keeps them, which fixes its edge ids.
         topology = PhysicalTopology(
             name="tri",
             nodes=(Node("s", 0.0, 0.0), Node("a", 1.0, 0.0), Node("b", 0.0, 1.0)),
             links=(Link("s", "a", 1.0), Link("s", "b", 1.0), Link("a", "b", 1.0)),
         )
-        with_u = build_routing_graph(topology, "s", default_loss)
-        without_u = build_routing_graph(topology, "s", default_loss,
-                                        exclude_u_turns=True)
-        u_turns = [e for e in with_u.edges
+        graph = build_routing_graph(topology, "s", default_loss)
+        u_turns = [e for e in graph.edges
                    if e.tail[0] == "in" and e.head[0] == "out"
                    and e.tail[2] == e.head[2]]
         assert u_turns, "u-turn pass-through expected by default"
-        assert not any(
-            e.tail[0] == "in" and e.head[0] == "out" and e.tail[2] == e.head[2]
-            for e in without_u.edges
-        )
 
     def test_unknown_source(self, two_node, default_loss):
         with pytest.raises(TopologyError):

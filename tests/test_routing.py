@@ -12,7 +12,6 @@ from eprnet import (
     all_pair_routes,
     build_routing_graph,
     bundled_topology,
-    pair_route,
     route_nodes,
     suurballe_disjoint_pair,
     topology_from_dict,
@@ -131,15 +130,13 @@ class TestSuurballeRandomized:
 class TestPairRoutes:
     def test_two_node_anchor(self, two_node, default_loss):
         graph = build_routing_graph(two_node, "s", default_loss)
-        plan = pair_route(graph, "s", "a")
-        assert plan is not None
+        plan = all_pair_routes(graph).plans[("a", "s")]
         assert plan.total_loss_db == pytest.approx(32.4, abs=1e-9)
         assert plan.eta == pytest.approx(10 ** -3.24, rel=1e-12)
 
     def test_star3_anchor(self, star3, default_loss):
         graph = build_routing_graph(star3, "s", default_loss)
-        plan = pair_route(graph, "a", "b")
-        assert plan is not None
+        plan = all_pair_routes(graph).plans[("a", "b")]
         assert plan.total_loss_db == pytest.approx(48.8, abs=1e-9)
         assert plan.eta == pytest.approx(1.3182567385564074e-5, rel=1e-12)
 
@@ -147,22 +144,14 @@ class TestPairRoutes:
         # Both fibers out of the middle node are needed twice; the two
         # endpoint memories cannot be reached edge-disjointly from s.
         graph = build_routing_graph(chain3, "s", default_loss)
-        assert pair_route(graph, "a", "b") is None
+        assert ("a", "b") not in all_pair_routes(graph).plans
 
     def test_route_nodes_decodes_ports(self, two_node, default_loss):
         graph = build_routing_graph(two_node, "s", default_loss)
-        plan = pair_route(graph, "s", "a")
-        assert plan is not None
+        plan = all_pair_routes(graph).plans[("a", "s")]
         paths = sorted((plan.path_a, plan.path_b), key=len)
         assert route_nodes(graph, paths[0]) == ["s"]
         assert route_nodes(graph, paths[1]) == ["s", "a"]
-
-    def test_pair_endpoints_validated(self, two_node, default_loss):
-        graph = build_routing_graph(two_node, "s", default_loss)
-        with pytest.raises(RoutingError):
-            pair_route(graph, "a", "a")
-        with pytest.raises(RoutingError):
-            pair_route(graph, "a", "zz")
 
 
 class TestRouteTables:
@@ -196,9 +185,8 @@ class TestRouteTables:
     def test_losses_monotone_in_wss(self, star3):
         cheap = build_routing_graph(star3, "s", LossParams(0.4, 4.0))
         dear = build_routing_graph(star3, "s", LossParams(0.4, 8.0))
-        plan_cheap = pair_route(cheap, "a", "b")
-        plan_dear = pair_route(dear, "a", "b")
-        assert plan_cheap is not None and plan_dear is not None
+        plan_cheap = all_pair_routes(cheap).plans[("a", "b")]
+        plan_dear = all_pair_routes(dear).plans[("a", "b")]
         assert plan_cheap.total_loss_db < plan_dear.total_loss_db
 
 
@@ -213,8 +201,6 @@ class TestNonFiniteGraphs:
         graph = build_routing_graph(topology, "s", default_loss)
         with pytest.raises(RoutingError, match="invalid weight inf"):
             all_pair_routes(graph)
-        with pytest.raises(RoutingError, match="invalid weight inf"):
-            pair_route(graph, "s", "a")
 
 
 def _tie_heavy_topology(rng: random.Random, tree: bool):
@@ -246,6 +232,16 @@ def _tie_heavy_topology(rng: random.Random, tree: bool):
     })
 
 
+def _tie_heavy_graphs(block: int):
+    """Block ``block``'s 60 random loss graphs; every fourth is a tree."""
+    rng = random.Random(7001 + block)
+    for case in range(60):
+        topology = _tie_heavy_topology(rng, tree=case % 4 == 0)
+        source = rng.choice(topology.node_ids)
+        loss = LossParams(rng.choice([0.0, 0.4]), rng.choice([0.0, 4.0, 8.0]))
+        yield build_routing_graph(topology, source, loss)
+
+
 class TestRouteIdentity:
     """The shared-first-pass router returns the pinned router's paths.
 
@@ -255,14 +251,8 @@ class TestRouteIdentity:
 
     @pytest.mark.parametrize("block", range(6))
     def test_random_tie_heavy_topologies(self, block):
-        rng = random.Random(7001 + block)
         infeasible = 0
-        for case in range(60):
-            topology = _tie_heavy_topology(rng, tree=case % 4 == 0)
-            source = rng.choice(topology.node_ids)
-            loss = LossParams(rng.choice([0.0, 0.4]), rng.choice([0.0, 4.0, 8.0]))
-            graph = build_routing_graph(topology, source, loss,
-                                        exclude_u_turns=rng.random() < 0.5)
+        for graph in _tie_heavy_graphs(block):
             table = all_pair_routes(graph)
             assert table == reference_route_table(graph)
             infeasible += len(table.infeasible)
@@ -288,3 +278,36 @@ class TestRouteIdentity:
         graph = build_routing_graph(bundled_topology("ilec17"), source,
                                     default_loss)
         assert all_pair_routes(graph) == reference_route_table(graph)
+
+
+def _u_turns(graph, table) -> list[int]:
+    """Edges ``in(i, j) -> out(i, j)`` on the table's routes."""
+    return [eid for plan in table.plans.values()
+            for eid in plan.path_a + plan.path_b
+            if _is_u_turn(graph.edges[eid])]
+
+
+def _is_u_turn(edge) -> bool:
+    return (edge.tail[0] == "in" and edge.head[0] == "out"
+            and edge.tail[1:] == edge.head[1:])
+
+
+class TestRoutesNeverUTurn:
+    """The loss graph keeps U-turn edges, but no route takes one: cutting
+    the detour j -> i -> j out of a path never costs loss or disjointness.
+    """
+
+    @pytest.mark.parametrize("wss", [0.0, 4.0, 8.0])
+    @pytest.mark.parametrize("fiber", [0.0, 0.4])
+    @pytest.mark.parametrize("name", ["simple6", "ilec17"])
+    def test_bundled_topologies(self, name, fiber, wss):
+        topology = bundled_topology(name)
+        for source in topology.node_ids:
+            graph = build_routing_graph(topology, source, LossParams(fiber, wss))
+            assert any(_is_u_turn(edge) for edge in graph.edges)
+            assert _u_turns(graph, all_pair_routes(graph)) == []
+
+    @pytest.mark.parametrize("block", range(6))
+    def test_random_tie_heavy_topologies(self, block):
+        for graph in _tie_heavy_graphs(block):
+            assert _u_turns(graph, all_pair_routes(graph)) == []

@@ -170,5 +170,10 @@ class TestValidation:
         assert vec[1] == 2.0
         assert vec.total == 3.0
 
+    def test_total_sums_left_to_right(self):
+        # A compensated sum (builtin sum() from Python 3.12) would give
+        # 1.000000000000001 and move the sweep CSV bytes.
+        assert RateVector((1.0,) + (1e-16,) * 10).total == 1.0
+
     def test_speed_of_light_constant(self):
         assert SPEED_OF_LIGHT_NM_THZ == C
