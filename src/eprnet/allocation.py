@@ -102,7 +102,8 @@ def received_rates(instance: AllocationInstance,
         raise AllocationError(f"assignment length {len(dense)} != channel count {m}")
     owned: list[list[float]] = [[] for _ in range(k)]
     for x, p in enumerate(dense):
-        if not isinstance(p, (int, np.integer)) or not 0 <= p < k:
+        if (not isinstance(p, (int, np.integer)) or isinstance(p, bool)
+                or not 0 <= p < k):
             raise AllocationError(f"channel {x} assigned to invalid pair {p!r}")
         owned[p].append(instance.rates[x])
     return tuple(instance.etas[p] * math.fsum(owned[p]) for p in range(k))
@@ -146,8 +147,6 @@ def exact_maxmin(
     *,
     pair_order: Sequence[int] | None = None,
     node_budget: int = 1_000_000,
-    target_hint: float | None = None,
-    warm: Sequence[int] | None = None,
 ) -> ExactResult:
     """Provably optimal max-min allocation by branch and bound.
 
@@ -156,10 +155,9 @@ def exact_maxmin(
     ties broken by ``pair_order``.  Equal-rate channels are canonicalized
     (their pair indices must be non-decreasing) to kill permutation
     symmetry.  A node is pruned when its pairs cannot all reach the
-    threshold, which is ``target_hint`` when given (a leaf is accepted
-    once its minimum reaches it) and otherwise the incumbent (a leaf must
-    beat it).  Two bounds decide that, from each short pair's missing
-    rate mass ``threshold / eta_p - mass_p``:
+    threshold, the incumbent's minimum (a leaf must beat it).  Two bounds
+    decide that, from each short pair's missing rate mass
+    ``threshold / eta_p - mass_p``:
 
     * water-filling: the missing masses must fit in the remaining rate
       mass, i.e. the water-filling completion with divisible channels
@@ -185,13 +183,6 @@ def exact_maxmin(
             optimal assignments.
         node_budget: max search nodes before giving up; the root and
             each visited child count once.
-        target_hint: a received-rate value known to be achievable (e.g.
-            from a previous solve of the same instance); the search then
-            returns the first allocation reaching it.
-        warm: a full channel-to-pair assignment to seed the incumbent,
-            typically the allocation from a previous solve of the same
-            instance; with ``target_hint`` it lets repeat solves finish
-            at the root.
 
     Returns:
         ExactResult; ``allocation.received`` uses the canonical rate
@@ -220,35 +211,22 @@ def exact_maxmin(
     mass_slack = 4.0 * (m + 1) * math.ulp(1.0) * prefix[m]
     tied = [t > 0 and n[order[t - 1]] == n[order[t]] for t in range(m)]
 
-    if warm is not None:
-        warm = [int(p) for p in warm]
-        if len(warm) != m or any(p < 0 or p >= k for p in warm):
-            raise AllocationError("warm must assign every channel to a pair")
-        warm_alloc = _finish(instance, warm)
-        if target_hint is not None and warm_alloc.min_rate >= target_hint:
-            return ExactResult(warm_alloc, True, 0)
-
     # Seed the incumbent with the best cheap heuristic so pruning bites
     # immediately.
     seed_alloc = modified_lpt(instance)
-    candidates = [first_fit(instance, None)]
-    if m >= k:
-        candidates.append(bezakova_matching(instance))
-    if warm is not None:
-        candidates.append(warm_alloc)
-    for cand in candidates:
+    if m < k:
+        return ExactResult(seed_alloc, True, 0)
+    for cand in (first_fit(instance, None), bezakova_matching(instance)):
         if cand.min_rate > seed_alloc.min_rate:
             seed_alloc = cand
     best_assign = list(seed_alloc.assignment)
     best_value = seed_alloc.min_rate
-    if m < k or (target_hint is not None and best_value >= target_hint):
-        return ExactResult(seed_alloc, True, 0)
 
     def mass_goals(threshold: float) -> list[float]:
         # Lower bounds on the mass each pair must hold to reach threshold.
         return [threshold * inv * (1.0 - 1e-12) - mass_slack for inv in inv_eta]
 
-    goals = mass_goals(best_value if target_hint is None else target_hint)
+    goals = mass_goals(best_value)
     assign = [-1] * m
     mass = [0.0] * k
     owned: list[list[float]] = [[] for _ in range(k)]  # rates, for leaves
@@ -265,17 +243,11 @@ def exact_maxmin(
             break
         expand = False
         if t == m:
-            if target_hint is not None:
-                if all(etas[p] * math.fsum(owned[p]) >= target_hint
-                       for p in range(k)):
-                    best_assign = assign.copy()
-                    break
-            else:
-                value = min(etas[p] * math.fsum(owned[p]) for p in range(k))
-                if value > best_value:
-                    best_value = value
-                    best_assign = assign.copy()
-                    goals = mass_goals(best_value)
+            value = min(etas[p] * math.fsum(owned[p]) for p in range(k))
+            if value > best_value:
+                best_value = value
+                best_assign = assign.copy()
+                goals = mass_goals(best_value)
         else:
             # Missing mass of each short pair: together it must fit in the
             # remaining mass (water-filling), and each pair's share must
@@ -542,6 +514,10 @@ def _matching_rounds(instance: AllocationInstance, *, frugal: bool) -> Allocatio
 def bezakova_matching(instance: AllocationInstance) -> Allocation:
     """Repeated max-min matchings; min rate >= optimum / (m - k + 1).
 
+    With fewer channels than pairs (m < k) that guarantee is vacuous:
+    every assignment leaves a pair at rate 0, the rounds find t* = 0, and
+    the channels go to the poorest pairs.
+
     The first round is always a full max-min matching, which alone
     secures the 1/(m - k + 1) guarantee; later rounds only add channels.
     Two refinements shape those rounds: a pair already meeting a round's
@@ -551,11 +527,6 @@ def bezakova_matching(instance: AllocationInstance) -> Allocation:
     with each round policy and keeps the allocation with the larger final
     minimum (ties favor the frugal run, which consumed less rate).
     """
-    k, m = instance.pair_count, instance.channel_count
-    if m < k:
-        raise AllocationError(
-            f"need at least one channel per pair: {m} channels < {k} pairs"
-        )
     frugal = _matching_rounds(instance, frugal=True)
     generous = _matching_rounds(instance, frugal=False)
     return frugal if frugal.min_rate >= generous.min_rate else generous

@@ -48,13 +48,16 @@ class ConfigError(ValueError):
 
 # name -> (run, order_sensitive, gated), in sweep order: it fixes the row
 # order and each strategy's index in the run seeds.  run(instance, order,
-# seed, search) returns an Allocation, or the exact search's ExactResult; it
-# looks its allocation function up here when called, so patching this
-# module's attribute reaches every run.  Gated strategies get a "budget" row,
-# without running, beyond exact_max_mk channels times pairs.
+# seed, node_budget) returns an Allocation, or the exact search's
+# ExactResult; it looks its allocation function up here when called, so
+# patching this module's attribute reaches every run.  Gated (exact-only)
+# strategies get a "budget" row, without running, beyond exact_max_mk
+# channels times pairs, and a sweep reuses their first proven optimum for
+# the remaining runs instead of searching again.
 _STRATEGIES = {
-    "exact": (lambda inst, order, seed, search:
-              exact_maxmin(inst, pair_order=order, **search), True, True),
+    "exact": (lambda inst, order, seed, node_budget:
+              exact_maxmin(inst, pair_order=order, node_budget=node_budget),
+              True, True),
     "first-fit": (lambda inst, order, *_: first_fit(inst, order), True, False),
     "round-robin": (lambda inst, order, *_: round_robin(inst, order), True, False),
     "random": (lambda inst, order, seed, _: random_balanced(inst, seed), True, False),
@@ -289,20 +292,19 @@ def _run_strategy(config: ExperimentConfig, instance: AllocationInstance,
     min_rates: list[float] = []
     jains: list[float] = []
     status = "ok"
-    warm_start = {}
+    proven = None  # a gated strategy's first proven optimum
     for run_idx in range(runs):
-        run_seed = derive_seed(config.seed, loss_idx, source_idx,
-                               strategy_idx, run_idx)
-        allocation, completed = allocate_once(
-            instance, strategy, seed=run_seed,
-            node_budget=config.exact_node_budget, **warm_start)
-        if not completed:
-            status = "budget"
-        elif not warm_start:
-            # Later runs only need to reach the first proven optimum, and its
-            # assignment re-seeds them (only the exact search reads these).
-            warm_start = dict(target_hint=allocation.min_rate,
-                              warm=allocation.assignment)
+        allocation = proven
+        if allocation is None:
+            run_seed = derive_seed(config.seed, loss_idx, source_idx,
+                                   strategy_idx, run_idx)
+            allocation, completed = allocate_once(
+                instance, strategy, seed=run_seed,
+                node_budget=config.exact_node_budget)
+            if not completed:
+                status = "budget"
+            elif gated:
+                proven = allocation
         min_rates.append(allocation.min_rate)
         jains.append(jain_index(allocation.received))
 
@@ -320,15 +322,13 @@ def _run_strategy(config: ExperimentConfig, instance: AllocationInstance,
 def allocate_once(instance: AllocationInstance, strategy: str, *,
                   seed: int | None = None,
                   node_budget: int = ExperimentConfig.exact_node_budget,
-                  target_hint: float | None = None,
-                  warm: tuple[int, ...] | None = None,
                   ) -> tuple[Allocation, bool]:
     """Run one strategy once; return its Allocation and whether it completed.
 
     ``seed`` feeds the pair-order shuffle for order-sensitive strategies
     (and the channel shuffle for ``random``, which requires it); omitting
-    it keeps the natural pair order.  The other keywords go to
-    ``exact_maxmin``, which alone can stop uncompleted, at its node budget.
+    it keeps the natural pair order.  ``node_budget`` goes to
+    ``exact_maxmin``, which alone can stop uncompleted, at that budget.
     """
     if strategy not in _STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
@@ -336,8 +336,7 @@ def allocate_once(instance: AllocationInstance, strategy: str, *,
     if seed is not None:
         rng = np.random.Generator(np.random.PCG64(seed))
         order = tuple(int(p) for p in rng.permutation(instance.pair_count))
-    search = dict(node_budget=node_budget, target_hint=target_hint, warm=warm)
-    result = _STRATEGIES[strategy][0](instance, order, seed, search)
+    result = _STRATEGIES[strategy][0](instance, order, seed, node_budget)
     if isinstance(result, ExactResult):
         return result.allocation, result.optimal
     return result, True

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -141,12 +142,13 @@ def _require_keys(obj: dict, allowed: set[str], required: Iterable[str], what: s
 
 
 def _optional_km(entry: dict, key: str, what: str) -> float | None:
-    """A finite real number, or None when the key is absent or null."""
+    """A finite real number, or None when the key is absent or null; the
+    exact bound refuses an int too large for a float instead of overflowing."""
     value = entry.get(key)
     if value is None:
         return None
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
+            or not abs(value) <= sys.float_info.max):
         raise TopologyError(f"{what} {key} must be a finite number, got {value!r}")
     return value
 

@@ -226,16 +226,14 @@ def lp_fractional_search(etas: Sequence[float], rates: Sequence[float]) -> float
 
 
 def reference_exact_dfs(instance: AllocationInstance,
-                        pair_order: Sequence[int] | None = None,
-                        target_hint: float | None = None) -> tuple[int, ...]:
+                        pair_order: Sequence[int] | None = None) -> tuple[int, ...]:
     """Assignment returned by an exhaustive depth-first exact search.
 
     Channels are branched by descending rate (ties by index); children
     try pairs by ascending received rate, ties by position in
     ``pair_order``.  Equal-rate neighbours in that order take
-    non-decreasing pair indices.  Without a hint the first leaf to beat
-    the best heuristic seed strictly wins each time; with a hint the first
-    leaf whose minimum reaches it is returned (or the seed, if it does).
+    non-decreasing pair indices.  A leaf replaces the incumbent, at first
+    the best heuristic seed, only when its minimum is strictly larger.
     """
     k, m = instance.pair_count, instance.channel_count
     etas, n = instance.etas, instance.rates
@@ -243,32 +241,25 @@ def reference_exact_dfs(instance: AllocationInstance,
     rank = {p: pos for pos, p in enumerate(order)}
     channels = sorted(range(m), key=lambda x: (-n[x], x))
 
-    seeds = [modified_lpt(instance), first_fit(instance)]
-    if m >= k:
-        seeds.append(bezakova_matching(instance))
+    seeds = [modified_lpt(instance), first_fit(instance),
+             bezakova_matching(instance)]
     seed = seeds[0]
     for cand in seeds[1:]:
         if cand.min_rate > seed.min_rate:
             seed = cand
     best = [seed.min_rate, seed.assignment]
-    if target_hint is not None and seed.min_rate >= target_hint:
-        return seed.assignment
     assign = [-1] * m
 
     def leaf_value() -> float:
         return min(etas[p] * math.fsum(n[x] for x in range(m) if assign[x] == p)
                    for p in range(k))
 
-    def search(t: int, mass: tuple[float, ...]) -> bool:
+    def search(t: int, mass: tuple[float, ...]) -> None:
         if t == m:
             value = leaf_value()
-            if target_hint is not None:
-                if value >= target_hint:
-                    best[1] = tuple(assign)
-                    return True
-            elif value > best[0]:
+            if value > best[0]:
                 best[0], best[1] = value, tuple(assign)
-            return False
+            return
         x = channels[t]
         low = assign[channels[t - 1]] if t and n[channels[t - 1]] == n[x] else 0
         for p in sorted(range(k), key=lambda q: (etas[q] * mass[q], rank[q])):
@@ -276,9 +267,7 @@ def reference_exact_dfs(instance: AllocationInstance,
                 continue
             assign[x] = p
             grown = mass[:p] + (mass[p] + n[x],) + mass[p + 1:]
-            if search(t + 1, grown):
-                return True
-        return False
+            search(t + 1, grown)
 
     search(0, (0.0,) * k)
     return best[1]

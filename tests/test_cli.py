@@ -65,10 +65,13 @@ class TestRoute:
         assert code == 1
         assert err.startswith("error:")
 
-    @pytest.mark.parametrize("distance", ["Infinity", "NaN", '"5"'])
+    @pytest.mark.parametrize("distance", [
+        "Infinity", "NaN", '"5"', pytest.param("9" * 401, id="401-digits"),
+    ])
     def test_bad_distance_is_one_line_error(self, tmp_path, distance):
         # JSON's Infinity/NaN parse to floats; the loader must refuse them
-        # (and strings) before routing, with no traceback.
+        # (and strings, and ints beyond the float range) before routing,
+        # with no traceback.
         path = tmp_path / "bad.json"
         path.write_text(
             '{"name": "bad", "nodes": [{"id": "s"}, {"id": "a"}], '
@@ -207,6 +210,20 @@ class TestSweep:
         assert f"wrote 4 rows to {out_csv}" in out
         assert out_csv.read_text().startswith("# eprnet sweep:")
         assert plot.read_text().startswith("<svg")
+
+    def test_fewer_channels_than_pairs_runs_every_strategy(self, capsys,
+                                                            tmp_path):
+        # 10 channels for 15 pairs: some pair always gets no channel, but no
+        # strategy refuses the instance.
+        out_csv = tmp_path / "sweep.csv"
+        code, _, _ = run(capsys, "sweep", "--topology", "simple6", "--seed",
+                         "1", "--channels", "10", "--runs", "2",
+                         "--out", str(out_csv))
+        assert code == 0
+        rows = read_csv_rows(out_csv)
+        assert len(rows) == 2 * 6 * 7
+        assert all(r["status"] == "ok" and float(r["mean_min_rate"]) == 0.0
+                   for r in rows)
 
     def test_config_driven_sweep(self, capsys, tmp_path):
         config = {

@@ -271,38 +271,51 @@ class TestSweep:
         report = run_placement_sweep(config)
         assert all(r.status == "budget" for r in report.rows)
 
-    def test_budget_stop_marks_exact(self):
+    def test_budget_stop_marks_exact(self, monkeypatch):
         # 16 channels for 15 pairs: with fewer channels than pairs the seed
-        # would be optimal at the root, and no search would stop.
+        # would be optimal at the root, and no search would stop.  No run
+        # completes, so each one searches with its own pair order.
+        from eprnet import harness
+        calls = []
+        exact = harness.exact_maxmin
+
+        def counting(*args, **kw):
+            calls.append(kw["pair_order"])
+            return exact(*args, **kw)
+
+        monkeypatch.setattr(harness, "exact_maxmin", counting)
         config = small_config(strategies=("exact",), runs=2, channels=16,
                               exact_node_budget=1)
         report = run_placement_sweep(config)
         assert all(r.status == "budget" and r.runs == 2
                    and r.mean_min_rate is not None for r in report.rows)
+        assert len(calls) == 2 * len(report.rows)
+        assert len(set(calls)) == len(calls)
 
     def test_strategies_run_through_module_names(self, monkeypatch):
         # Patching a harness attribute must reach every run (the benchmark's
-        # tracer relies on it), and exact's warm start is passed by keyword.
+        # tracer relies on it).  The exact search runs once: its first
+        # proven optimum serves the other two runs.
         from eprnet import harness
         calls = []
         for name in ("exact_maxmin", "first_fit", "round_robin",
                      "random_balanced", "modified_lpt", "bezakova_matching",
                      "lp_round"):
             def counting(*args, _name=name, _fn=getattr(harness, name), **kw):
-                calls.append((_name, kw.get("warm") is not None))
+                calls.append(_name)
                 return _fn(*args, **kw)
             monkeypatch.setattr(harness, name, counting)
         ring4 = Path(__file__).resolve().parent / "golden" / "ring4.json"
         config = small_config(topology_path=str(ring4), sources=("a",),
                               strategies=ALL_STRATEGIES, runs=3, channels=8)
-        run_placement_sweep(config)
+        rows = run_placement_sweep(config).rows
         assert calls == [
-            ("exact_maxmin", False), ("exact_maxmin", True),
-            ("exact_maxmin", True),
-            *[("first_fit", False)] * 3, *[("round_robin", False)] * 3,
-            *[("random_balanced", False)] * 3, ("modified_lpt", False),
-            ("bezakova_matching", False), ("lp_round", False),
+            "exact_maxmin", *["first_fit"] * 3, *["round_robin"] * 3,
+            *["random_balanced"] * 3, "modified_lpt", "bezakova_matching",
+            "lp_round",
         ]
+        assert rows[0].strategy == "exact" and rows[0].status == "ok"
+        assert rows[0].runs == 3 and rows[0].std_min_rate == 0.0
 
     def test_each_placement_routed_once_per_loss(self, monkeypatch):
         from eprnet import harness, metrics

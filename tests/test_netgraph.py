@@ -1,8 +1,11 @@
 import json
 import math
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eprnet import (
     Link,
@@ -184,6 +187,59 @@ class TestLinkDistance:
             link_distance(two_node, "s", "s")
 
 
+# What json.load can return: its floats include nan and inf, and its ints
+# may lie beyond the float range.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 400, 10 ** 400)
+    | st.floats() | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6,
+)
+NAMES = st.sampled_from(["a", "b", "c"])
+
+
+@st.composite
+def topology_docs(draw):
+    """The accepted schema; in a messy document, now and then a value is
+    arbitrary JSON, a key is missing, or a stray key is added."""
+    messy = draw(st.booleans())
+
+    def rarely() -> bool:
+        return messy and draw(st.integers(0, 9)) == 9
+
+    def length():
+        if rarely():  # any float, or an int beyond the float range
+            return draw(st.floats() | st.integers(2 ** 1024, 10 ** 400)
+                        | st.integers(-10 ** 400, -2 ** 1024))
+        return draw(st.none() | st.floats(0.1, 100.0))
+
+    def obj(items):
+        if rarely():
+            return draw(JSON_VALUES)
+        doc = {key: draw(JSON_VALUES) if rarely() else value
+               for key, value in items.items() if not rarely()}
+        if rarely():
+            doc[draw(st.text(max_size=3))] = draw(JSON_VALUES)
+        return doc
+
+    ids = draw(st.lists(NAMES, min_size=1, max_size=3, unique=not rarely()))
+    pairs = list(zip(ids, ids[1:]))  # a chain, so no node is isolated
+    if messy:
+        ends = st.sampled_from(ids) | NAMES
+        pairs += draw(st.lists(st.tuples(ends, ends), max_size=2))
+    nodes = [obj({"id": node, "x_km": length(), "y_km": length()})
+             for node in ids]
+    links = [obj({"a": a, "b": b, "distance_km": length()}) for a, b in pairs]
+    return obj({"name": draw(NAMES), "nodes": nodes, "links": links,
+                "provenance": draw(st.text(max_size=3))})
+
+
+def is_float(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 class TestLoader:
     def base_doc(self):
         return {
@@ -232,6 +288,7 @@ class TestLoader:
 
     @pytest.mark.parametrize("value", [
         "5", True, {"km": 1.0}, [1.0], math.nan, math.inf, -math.inf,
+        pytest.param(10 ** 400, id="1e400"), pytest.param(-10 ** 400, id="-1e400"),
     ])
     @pytest.mark.parametrize("where, key", [
         ("links", "distance_km"), ("nodes", "x_km"), ("nodes", "y_km"),
@@ -265,6 +322,23 @@ class TestLoader:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_topology(tmp_path / "absent.json")
+
+    @settings(max_examples=300, deadline=None)
+    @given(topology_docs())
+    def test_documents_load_or_raise_topology_error(self, doc):
+        try:
+            topology = topology_from_dict(doc)
+        except TopologyError:
+            return
+        ids = [node.id for node in topology.nodes]
+        assert len(set(ids)) == len(ids)
+        for node in topology.nodes:
+            assert isinstance(node.id, str)
+            assert all(v is None or is_float(v) for v in (node.x_km, node.y_km))
+        for link in topology.links:
+            assert link.a in ids and link.b in ids and link.a != link.b
+            assert link.distance_km is None or (is_float(link.distance_km)
+                                                and link.distance_km > 0)
 
 
 class TestBundledTopologies:

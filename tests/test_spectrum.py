@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from eprnet import (
     SPEED_OF_LIGHT_NM_THZ,
@@ -122,13 +122,19 @@ class TestGenerationRates:
             assert b == pytest.approx(2.5 * a, rel=1e-12)
 
     @given(grids())
+    @example(ChannelGrid(61, 0.5, 5.0, 800.0))  # edge channels 150 nm out
     def test_symmetry_and_bounds(self, grid):
         profile = SpectrumProfile()
         rates = generation_rates(grid, profile)
         m = grid.channel_count
+        coeff = 4 * math.log(2) / profile.fwhm_nm ** 2
         for x in range(m):
+            d = (x + 1 - (m + 1) / 2) * grid.channel_pitch_nm
             assert rates[x] == rates[m - 1 - x]
-            assert 0.0 < rates[x] <= profile.peak_rate
+            # exp(-745) still rounds to the smallest subnormal double; only
+            # a true rate below half of it may correctly round to 0.0.
+            assert rates[x] > 0.0 or coeff * d * d > 745.0
+            assert rates[x] <= profile.peak_rate
         assert rates.total <= m * profile.peak_rate
 
     @given(grids())
