@@ -24,6 +24,7 @@ produced allocations with the same assignment compare bit-for-bit equal.
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 import operator
 from dataclasses import dataclass
@@ -100,12 +101,16 @@ def received_rates(instance: AllocationInstance,
     dense = list(assignment)
     if len(dense) != m:
         raise AllocationError(f"assignment length {len(dense)} != channel count {m}")
+    # Plain ints in range pass in C; anything else is checked one by one,
+    # so the error names the first offending channel.
+    if not (set(map(type, dense)) == {int} and min(dense) >= 0 and max(dense) < k):
+        for x, p in enumerate(dense):
+            if (not isinstance(p, (int, np.integer)) or isinstance(p, bool)
+                    or not 0 <= p < k):
+                raise AllocationError(f"channel {x} assigned to invalid pair {p!r}")
     owned: list[list[float]] = [[] for _ in range(k)]
-    for x, p in enumerate(dense):
-        if (not isinstance(p, (int, np.integer)) or isinstance(p, bool)
-                or not 0 <= p < k):
-            raise AllocationError(f"channel {x} assigned to invalid pair {p!r}")
-        owned[p].append(instance.rates[x])
+    for p, rate in zip(dense, instance.rates.rates):
+        owned[p].append(rate)
     return tuple(instance.etas[p] * math.fsum(owned[p]) for p in range(k))
 
 
@@ -118,7 +123,7 @@ def channels_by_pair(assignment: Sequence[int], pair_count: int) -> tuple[tuple[
 
 
 def _finish(instance: AllocationInstance, assignment: Sequence[int]) -> Allocation:
-    dense = tuple(int(p) for p in assignment)
+    dense = tuple(map(int, assignment))
     return Allocation(dense, received_rates(instance, dense))
 
 
@@ -199,7 +204,7 @@ def exact_maxmin(
     n = list(instance.rates)
     etas = list(instance.etas)
     inv_eta = [1.0 / e for e in etas]
-    order = sorted(range(m), key=lambda x: (-n[x], x))
+    order = instance.rates.descending
     # prefix[i]: mass of the i largest channels, so the j largest of the
     # channels left at depth t sum to prefix[t + j] - prefix[t].
     prefix = [0.0] * (m + 1)
@@ -305,23 +310,49 @@ def first_fit(
     over after the last pair stay on it).  Feasibility of the pass is
     monotone in T, so the largest feasible T in [0, fractional optimum]
     is found by bisection to 1e-9 relative resolution.
+
+    A pass does not walk the channels one by one.  The block of pair p
+    starts at channel s and ends at channel s + j for the first j with
+    eta_p * S_s[j] >= T, where S_s (row s of ``RateVector.running_sums``)
+    holds n[s], n[s] + n[s+1], ... added left to right: the very masses
+    the channel walk accumulates, bit for bit.  S_s never decreases, and
+    neither does a correctly rounded product with eta_p, so that test is
+    monotone in j: bisecting S_s on T / eta_p lands next to the first
+    such j, and a step or two under the walk's own test settles what
+    rounding left open.  Each pass therefore decides exactly as the walk
+    would, at a cost per pair rather than per channel.
     """
     k, m = instance.pair_count, instance.channel_count
     order = _validated_order(pair_order, k)
-    n = list(instance.rates)
-    etas = list(instance.etas)
+    n = instance.rates.rates
+    sums = instance.rates.running_sums
+    pair_etas = [instance.etas[p] for p in order]
+    bisect_left = bisect.bisect_left
 
     def run_pass(target: float) -> tuple[list[int], bool]:
-        assign = [-1] * m
-        mass = [0.0] * k
-        cursor = 0
-        for x in range(m):
-            p = order[cursor] if cursor < k else order[k - 1]
-            assign[x] = p
-            mass[p] += n[x]
-            if cursor < k and etas[p] * mass[p] >= target:
-                cursor += 1
-        return assign, cursor >= k
+        # Last channel of each block, in pair order, and whether every
+        # pair reached the target.  A pair that cannot reach it takes the
+        # rest of the channels; pairs after it get none.
+        ends = []
+        s = 0
+        for eta in pair_etas:
+            if s == m:
+                return ends, False
+            j = 0  # with many pairs (ilec17) most blocks are one channel
+            if eta * n[s] < target:
+                row = sums[s]
+                j = bisect_left(row, target / eta, 1)
+                while j > 1 and eta * row[j - 1] >= target:
+                    j -= 1
+                last = len(row)
+                while j < last and eta * row[j] < target:
+                    j += 1
+                if j == last:
+                    ends.append(m - 1)
+                    return ends, False
+            ends.append(s + j)
+            s += j + 1
+        return ends, True
 
     tf = fractional_optimum(instance)
     target = 0.0
@@ -338,7 +369,14 @@ def first_fit(
                 else:
                     hi = mid
             target = lo
-    assign, _ = run_pass(target)
+    # Channels left over after the last pair's block stay on it.
+    ends, _ = run_pass(target)
+    ends[-1] = m - 1
+    assign: list[int] = []
+    s = 0
+    for p, end in zip(order, ends):
+        assign += [p] * (end + 1 - s)
+        s = end + 1
     return _finish(instance, assign)
 
 
@@ -349,10 +387,8 @@ def round_robin(
     """Deal channels cyclically in descending-rate order (ties by index)."""
     k = instance.pair_count
     order = _validated_order(pair_order, k)
-    by_rate = sorted(range(instance.channel_count),
-                     key=lambda x: (-instance.rates[x], x))
     assign = [-1] * instance.channel_count
-    for pos, x in enumerate(by_rate):
+    for pos, x in enumerate(instance.rates.descending):
         assign[x] = order[pos % k]
     return _finish(instance, assign)
 
@@ -367,10 +403,25 @@ def random_balanced(instance: AllocationInstance, rng_seed: int) -> Allocation:
     k, m = instance.pair_count, instance.channel_count
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     perm = rng.permutation(m)
-    assign = [-1] * m
-    for pos in range(m):
-        assign[int(perm[pos])] = pos % k
-    return _finish(instance, assign)
+    assign = np.empty(m, dtype=np.int64)
+    assign[perm] = np.arange(m) % k  # position pos of perm gets pair pos % k
+    return _finish(instance, assign.tolist())
+
+
+def _deal_to_poorest(instance: AllocationInstance, assign: list[int],
+                     channels: Sequence[int], received: Sequence[float]) -> None:
+    """Give each channel in turn to a poorest pair, ties to the lowest index.
+
+    A heap of (received rate, pair) pops exactly the pair that
+    ``min(range(k), key=lambda q: (received[q], q))`` would pick.
+    """
+    etas, n = instance.etas, instance.rates.rates
+    heap = [(r, q) for q, r in enumerate(received)]
+    heapq.heapify(heap)
+    for x in channels:
+        r, p = heap[0]
+        assign[x] = p
+        heapq.heapreplace(heap, (r + etas[p] * n[x], p))
 
 
 def modified_lpt(instance: AllocationInstance) -> Allocation:
@@ -380,15 +431,9 @@ def modified_lpt(instance: AllocationInstance) -> Allocation:
     the greedy move that maximizes the post-assignment minimum; ties go
     to the lowest pair index.
     """
-    k = instance.pair_count
-    etas = instance.etas
     assign = [-1] * instance.channel_count
-    received = [0.0] * k
-    for x in sorted(range(instance.channel_count),
-                    key=lambda x: (-instance.rates[x], x)):
-        p = min(range(k), key=lambda q: (received[q], q))
-        assign[x] = p
-        received[p] += etas[p] * instance.rates[x]
+    _deal_to_poorest(instance, assign, instance.rates.descending,
+                     [0.0] * instance.pair_count)
     return _finish(instance, assign)
 
 
@@ -427,7 +472,7 @@ def _matching_rounds(instance: AllocationInstance, *, frugal: bool) -> Allocatio
     """
     k, m = instance.pair_count, instance.channel_count
     etas = np.asarray(instance.etas)
-    n = list(instance.rates)
+    n = instance.rates.rates
     assign = [-1] * m
     mass = np.zeros(k)
     remaining = list(range(m))
@@ -436,7 +481,7 @@ def _matching_rounds(instance: AllocationInstance, *, frugal: bool) -> Allocatio
         r = etas * mass
         # Channels sorted by descending rate (ties by index) so that each
         # pair's eligible set is a prefix.
-        rem_sorted = sorted(remaining, key=lambda x: (-n[x], x))
+        rem_sorted = [x for x in instance.rates.descending if assign[x] < 0]
         vals = np.asarray([n[x] for x in rem_sorted])
         fmat = r[:, None] + etas[:, None] * vals[None, :]
 
@@ -484,12 +529,7 @@ def _matching_rounds(instance: AllocationInstance, *, frugal: bool) -> Allocatio
         if not needy:
             # No remaining channel improves the minimum: deal the rest to
             # the poorest pairs and stop.
-            r_list = list(r)
-            for x in remaining:
-                p = min(range(k), key=lambda q: (r_list[q], q))
-                assign[x] = p
-                r_list[p] += instance.etas[p] * n[x]
-            remaining = []
+            _deal_to_poorest(instance, assign, remaining, list(r))
             break
 
         # Most constrained pair first; each takes its smallest eligible

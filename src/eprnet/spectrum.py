@@ -10,12 +10,23 @@ emission profile at each channel center.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
+from itertools import accumulate
 from operator import add
 
 SPEED_OF_LIGHT_NM_THZ = 299792.458
 """Speed of light expressed in nm*THz, so wavelength math stays in nm."""
+
+_ROW_BUDGET = 1 << 20
+"""Most running-sum entries a RateVector keeps (8 MB): every row of a
+200-channel grid takes 20,100, but all rows of m channels take m(m+1)/2."""
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not (0 < value < math.inf):  # also rejects NaN
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -35,16 +46,18 @@ class ChannelGrid:
     def __post_init__(self) -> None:
         if self.channel_count < 1:
             raise ValueError(f"channel_count must be >= 1, got {self.channel_count}")
-        if self.channel_width_nm <= 0:
-            raise ValueError(f"channel_width_nm must be > 0, got {self.channel_width_nm}")
+        _check_positive("channel_width_nm", self.channel_width_nm)
         if self.channel_pitch_nm < self.channel_width_nm:
             raise ValueError(
                 "channel_pitch_nm must be >= channel_width_nm, got "
                 f"{self.channel_pitch_nm} < {self.channel_width_nm}"
             )
-        if self.center_wavelength_nm <= 0:
+        _check_positive("channel_pitch_nm", self.channel_pitch_nm)
+        _check_positive("center_wavelength_nm", self.center_wavelength_nm)
+        bluest = channel_center_wavelength(self, 1)
+        if bluest <= 0:
             raise ValueError(
-                f"center_wavelength_nm must be > 0, got {self.center_wavelength_nm}"
+                f"every channel center must be > 0 nm, got {bluest} nm for channel 1"
             )
 
 
@@ -56,15 +69,22 @@ class SpectrumProfile:
     peak_rate: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.fwhm_nm <= 0:
-            raise ValueError(f"fwhm_nm must be > 0, got {self.fwhm_nm}")
-        if self.peak_rate < 0:
-            raise ValueError(f"peak_rate must be >= 0, got {self.peak_rate}")
+        _check_positive("fwhm_nm", self.fwhm_nm)
+        if self.fwhm_nm * self.fwhm_nm == 0.0:
+            raise ValueError(f"fwhm_nm is too small to square, got {self.fwhm_nm}")
+        if not (0 <= self.peak_rate < math.inf):  # also rejects NaN
+            raise ValueError(f"peak_rate must be finite and >= 0, got {self.peak_rate}")
 
 
 @dataclass(frozen=True)
 class RateVector:
-    """Per-channel generation rates, one entry per grid channel."""
+    """Per-channel generation rates, one entry per grid channel.
+
+    The channel order and the running sums that the allocation strategies
+    read are built on first use and kept (the running sums within a
+    budget): they depend only on the rates, so every instance sharing
+    this vector shares them.
+    """
 
     rates: tuple[float, ...]
 
@@ -72,8 +92,10 @@ class RateVector:
         if not self.rates:
             raise ValueError("RateVector must hold at least one rate")
         for i, r in enumerate(self.rates):
-            if not (r >= 0):  # also rejects NaN
-                raise ValueError(f"rate at index {i} must be >= 0, got {r}")
+            if not (0 <= r < math.inf):  # also rejects NaN
+                raise ValueError(f"rate at index {i} must be finite and >= 0, got {r}")
+        if self.total == math.inf:
+            raise ValueError("rates must have a finite total")
 
     def __len__(self) -> int:
         return len(self.rates)
@@ -84,10 +106,51 @@ class RateVector:
     def __getitem__(self, index):
         return self.rates[index]
 
-    @property
+    @cached_property
     def total(self) -> float:
         """Left-to-right sum; builtin sum() compensates from Python 3.12 on."""
         return reduce(add, self.rates, 0.0)
+
+    @cached_property
+    def descending(self) -> tuple[int, ...]:
+        """Channel indices by descending rate, ties by ascending index."""
+        n = self.rates
+        return tuple(sorted(range(len(n)), key=lambda x: (-n[x], x)))
+
+    @cached_property
+    def running_sums(self) -> _RunningSums:
+        """Start index -> ``n[start]``, ``n[start] + n[start+1]``, ...
+
+        Entry j of row ``start`` is the rate mass of channels
+        start..start+j, summed left to right and rounded exactly as a walk
+        adding them one by one rounds it, so it never decreases in j.
+        Each row is built on its first lookup and kept while the kept
+        rows fit in ``_ROW_BUDGET`` entries.
+        """
+        return _RunningSums(self.rates)
+
+
+class _RunningSums(dict):
+    """Rows of left-to-right running sums, filled in as they are looked up.
+
+    A row that would take the kept entries past ``_ROW_BUDGET`` first
+    drops every kept row, so a very wide grid rebuilds rows instead of
+    holding all of them.
+    """
+
+    def __init__(self, rates: tuple[float, ...]) -> None:
+        super().__init__()
+        self._rates = rates
+        self._entries = 0
+
+    def __missing__(self, start: int) -> array:
+        row = array("d", accumulate(self._rates[start:]))
+        if self._entries + len(row) > _ROW_BUDGET:
+            self.clear()
+            self._entries = 0
+        self._entries += len(row)
+        self[start] = row
+        return row
 
 
 def _check_index(grid: ChannelGrid, x: int) -> None:

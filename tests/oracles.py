@@ -2,11 +2,13 @@
 
 Everything here is written against the problem statements, not against
 the library internals, so agreement between the two is evidence of
-correctness rather than of shared bugs.  Two exceptions pin tie rules
-rather than values: the unpruned exact search, which holds the branch and
-bound to the very same assignment, and the per-pair router at the end,
-the library's earlier, simpler router, kept to hold the faster one to the
-very same routes.
+correctness rather than of shared bugs.  Some exceptions pin tie rules
+and rounding rather than values: the unpruned exact search, which holds
+the branch and bound to the very same assignment; the channel-by-channel
+first-fit walk and the min-scan LPT, the library's earlier forms of those
+heuristics, kept to hold the faster ones to the very same allocations;
+and the per-pair router at the end, the library's earlier, simpler
+router, kept to hold the faster one to the very same routes.
 """
 
 from __future__ import annotations
@@ -16,15 +18,18 @@ import math
 from typing import Hashable, Sequence
 
 from eprnet import (
+    Allocation,
     AllocationInstance,
     RoutePlan,
     RouteTable,
     RoutingGraph,
     bezakova_matching,
     first_fit,
+    fractional_optimum,
     gen_vertex,
     mem_vertex,
     modified_lpt,
+    received_rates,
     transmittance,
 )
 
@@ -271,6 +276,70 @@ def reference_exact_dfs(instance: AllocationInstance,
 
     search(0, (0.0,) * k)
     return best[1]
+
+
+# --- pinned heuristics ---------------------------------------------------
+#
+# The library's first forms of first-fit and LPT: one Python step per
+# channel.  The faster forms must return the very same allocations.
+
+
+def _allocation(instance: AllocationInstance, assign) -> Allocation:
+    dense = tuple(int(p) for p in assign)
+    return Allocation(dense, received_rates(instance, dense))
+
+
+def reference_first_fit(instance: AllocationInstance,
+                        pair_order: Sequence[int] | None = None) -> Allocation:
+    """First-fit whose every bisection probe walks all channels in order."""
+    k, m = instance.pair_count, instance.channel_count
+    order = list(range(k)) if pair_order is None else list(pair_order)
+    n = list(instance.rates)
+    etas = list(instance.etas)
+
+    def run_pass(target: float) -> tuple[list[int], bool]:
+        assign = [-1] * m
+        mass = [0.0] * k
+        cursor = 0
+        for x in range(m):
+            p = order[cursor] if cursor < k else order[k - 1]
+            assign[x] = p
+            mass[p] += n[x]
+            if cursor < k and etas[p] * mass[p] >= target:
+                cursor += 1
+        return assign, cursor >= k
+
+    tf = fractional_optimum(instance)
+    target = 0.0
+    if tf > 0 and run_pass(0.0)[1]:
+        if run_pass(tf)[1]:
+            target = tf
+        else:
+            lo, hi = 0.0, tf
+            tol = 1e-9 * tf
+            while hi - lo > tol:
+                mid = (lo + hi) / 2.0
+                if run_pass(mid)[1]:
+                    lo = mid
+                else:
+                    hi = mid
+            target = lo
+    assign, _ = run_pass(target)
+    return _allocation(instance, assign)
+
+
+def reference_modified_lpt(instance: AllocationInstance) -> Allocation:
+    """LPT that scans every pair for the poorest one, channel by channel."""
+    k = instance.pair_count
+    etas = instance.etas
+    assign = [-1] * instance.channel_count
+    received = [0.0] * k
+    for x in sorted(range(instance.channel_count),
+                    key=lambda x: (-instance.rates[x], x)):
+        p = min(range(k), key=lambda q: (received[q], q))
+        assign[x] = p
+        received[p] += etas[p] * instance.rates[x]
+    return _allocation(instance, assign)
 
 
 # --- pinned per-pair router ------------------------------------------------

@@ -1,5 +1,7 @@
+import functools
 import math
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eprnet import spectrum
 from eprnet import (
     ALL_STRATEGIES,
     AllocationError,
@@ -30,7 +33,13 @@ from eprnet import (
     received_rates,
     round_robin,
 )
-from oracles import enumerate_best_min, lp_fractional_search, reference_exact_dfs
+from oracles import (
+    enumerate_best_min,
+    lp_fractional_search,
+    reference_exact_dfs,
+    reference_first_fit,
+    reference_modified_lpt,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -64,6 +73,48 @@ def tie_heavy_instance(rng: random.Random) -> AllocationInstance:
     rate_pool = [0.0, 0.1, 0.2, 0.3, 0.7, 1.0, rng.uniform(0.0, 3.0)]
     return make_instance([rng.choice(eta_pool) for _ in range(k)],
                          [rng.choice(rate_pool) for _ in range(m)])
+
+
+def tie_prone_instance(rng: random.Random) -> AllocationInstance:
+    """Shapes where a faster first-fit or LPT could round or tie apart.
+
+    One pair, m < k, all-equal rates, zero-rate channels, and dyadic
+    etas and rates, whose block masses hit a target exactly, so the
+    ``>=`` test is decided at equality.
+    """
+    k = rng.choice([1, 2, rng.randint(1, 12)])
+    m = rng.randint(1, 24)
+    shape = rng.randrange(4)
+    if shape == 0:  # equal rates
+        rates = [rng.choice([0.5, 1.0, 0.1])] * m
+    elif shape == 1:  # dyadic, with zeros
+        rates = [rng.choice([0.0, 0.25, 0.5, 1.0, 2.0]) for _ in range(m)]
+    elif shape == 2:  # non-dyadic, rounding depends on the order of sums
+        rates = [rng.choice([0.0, 0.1, 0.2, 0.3, 0.7, 1e-17])
+                 for _ in range(m)]
+    else:
+        rates = [rng.uniform(0.0, 3.0) if rng.random() > 0.2 else 0.0
+                 for _ in range(m)]
+    eta_pool = [0.25, 0.5, 1.0] if shape < 2 else [
+        0.25, 0.5, 1.0, 0.1, 0.3, rng.uniform(0.001, 1.0)]
+    return make_instance([rng.choice(eta_pool) for _ in range(k)], rates)
+
+
+@functools.lru_cache(maxsize=None)
+def bundled_instances(name: str) -> tuple[AllocationInstance, ...]:
+    """Every routable placement of a bundled topology at 4 and 8 dB."""
+    config = ExperimentConfig(topology_path=name, seed=1)
+    rates = generation_rates(config.grid(), config.profile())
+    topology = load_topology(name)
+    found = []
+    for wss in (4.0, 8.0):
+        for source in topology.node_ids:
+            table = all_pair_routes(build_routing_graph(
+                topology, source, LossParams(config.fiber_loss_db_per_km, wss)))
+            if not table.infeasible:
+                found.append(AllocationInstance(
+                    tuple(table.plans[p].eta for p in sorted(table.plans)), rates))
+    return tuple(found)
 
 
 @st.composite
@@ -155,6 +206,20 @@ class TestReceivedRates:
             received_rates(inst, [0, 0.5])
         with pytest.raises(AllocationError):  # bool is an int subclass
             received_rates(inst, [True, False])
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, True, np.int64(2), "1", None])
+    def test_error_names_the_channel(self, bad):
+        inst = make_instance([1.0, 1.0], [1.0, 1.0, 1.0])
+        message = f"channel 1 assigned to invalid pair {bad!r}"
+        with pytest.raises(AllocationError, match=f"^{re.escape(message)}$"):
+            received_rates(inst, [0, bad, 1])
+
+    def test_numpy_integers_accepted(self):
+        inst = make_instance([0.5, 0.25], [1.0, 2.0, 3.0])
+        plain = received_rates(inst, [1, 0, 1])
+        assert received_rates(inst, np.array([1, 0, 1])) == plain
+        assert received_rates(inst, [np.int32(1), 0, 1]) == plain
+        assert plain == (1.0, 1.0)
 
 
 class TestFractionalOptimum:
@@ -336,6 +401,54 @@ class TestFirstFit:
         flags = [feasible(t * tf / 40) for t in range(41)]
         assert flags == sorted(flags, reverse=True)
 
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_matches_channel_walk_on_tie_prone_instances(self, chunk):
+        # The per-pair probes must decide every bisection step exactly as
+        # the channel-by-channel walk did, so the allocations are equal.
+        rng = random.Random(4400 + chunk)
+        for _ in range(100):
+            inst = tie_prone_instance(rng)
+            order = list(range(inst.pair_count))
+            rng.shuffle(order)
+            assert first_fit(inst, order) == reference_first_fit(inst, order)
+            assert first_fit(inst) == reference_first_fit(inst)
+
+    def test_matches_channel_walk_when_rows_are_dropped(self, monkeypatch):
+        # With a budget of one entry every row lookup drops the others.
+        monkeypatch.setattr(spectrum, "_ROW_BUDGET", 1)
+        rng = random.Random(4500)
+        for _ in range(50):
+            inst = tie_prone_instance(rng)
+            assert first_fit(inst) == reference_first_fit(inst)
+
+    @pytest.mark.parametrize("etas,rates,expected", [
+        # Every block reaches T = 2.0 exactly: the fractional optimum.
+        ([1.0, 0.5], [1.0, 1.0, 1.0, 1.0, 2.0, 0.0], (0, 0, 1, 1, 1, 1)),
+        # The bisection probes T = 0.1 * 1.5 = 0.15000000000000002
+        # exactly.  Pair 0 reaches it with channels 0..2 (mass 1.5), but
+        # T / 0.1 rounds up to 1.5000000000000002, so bisecting the
+        # running sums alone would hand it channel 3 too.
+        ([0.1, 0.1], [0.1, 0.7, 0.7, 0.2, 1.0, 0.1, 0.3, 0.1],
+         (0, 0, 0, 1, 1, 1, 1, 1)),
+        ([0.3, 0.9, 0.1], [3.0, 1.0, 3.0, 3.0, 3.0, 1.0, 1.0, 1.0],
+         (0, 1, 2, 2, 2, 2, 2, 2)),
+    ])
+    def test_ties_at_the_target_settled_by_the_walk_test(self, etas, rates,
+                                                         expected):
+        inst = make_instance(etas, rates)
+        allocation = first_fit(inst)
+        assert allocation.assignment == expected
+        assert allocation == reference_first_fit(inst)
+
+    @pytest.mark.parametrize("topology", ["simple6", "ilec17"])
+    def test_matches_channel_walk_on_bundled_placements(self, topology):
+        rng = random.Random(topology)
+        for inst in bundled_instances(topology):
+            for _ in range(20):
+                order = list(range(inst.pair_count))
+                rng.shuffle(order)
+                assert first_fit(inst, order) == reference_first_fit(inst, order)
+
 
 class TestRoundRobin:
     def test_descending_deal(self):
@@ -384,6 +497,17 @@ class TestRandomBalanced:
                    for seed in range(10_000))
         assert 0.48 <= hits / 10_000 <= 0.52
 
+    def test_matches_the_per_channel_deal(self):
+        rng = random.Random(6600)
+        for seed in range(200):
+            inst = tie_prone_instance(rng)
+            k, m = inst.pair_count, inst.channel_count
+            perm = np.random.Generator(np.random.PCG64(seed)).permutation(m)
+            expected = [-1] * m
+            for pos in range(m):
+                expected[int(perm[pos])] = pos % k
+            assert random_balanced(inst, seed).assignment == tuple(expected)
+
     @given(instances())
     @settings(max_examples=60, deadline=None)
     def test_counts_differ_by_at_most_one(self, inst):
@@ -410,6 +534,17 @@ class TestModifiedLpt:
         rng = random.Random(9900 + case)
         inst = random_instance(rng)
         assert_partition(inst, modified_lpt(inst))
+
+    def test_heap_matches_min_scan(self):
+        rng = random.Random(5500)
+        for _ in range(300):
+            inst = tie_prone_instance(rng)
+            assert modified_lpt(inst) == reference_modified_lpt(inst)
+
+    @pytest.mark.parametrize("topology", ["simple6", "ilec17"])
+    def test_heap_matches_min_scan_on_bundled_placements(self, topology):
+        for inst in bundled_instances(topology):
+            assert modified_lpt(inst) == reference_modified_lpt(inst)
 
 
 class TestBezakovaMatching:

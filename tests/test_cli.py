@@ -17,6 +17,20 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# Grid and profile flags that would print inf, nan or all-zero rates.
+NON_FINITE_FLAGS = [("--peak-rate", "inf"), ("--peak-rate", "nan"),
+                    ("--width-nm", "nan"), ("--center-nm", "nan"),
+                    ("--center-nm", "inf"), ("--pitch-nm", "inf"),
+                    ("--pitch-nm", "nan"), ("--fwhm-nm", "inf"),
+                    ("--fwhm-nm", "1e-200"), ("--peak-rate", "1e308")]
+
+
+def assert_one_line_error(code, err):
+    assert code == 1
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 class TestRates:
     def test_prints_every_channel(self, capsys):
         code, out, err = run(capsys, "rates", "--channels", "8")
@@ -29,6 +43,17 @@ class TestRates:
         assert code == 0
         assert "1530.1" in out
         assert "1569.9" in out
+
+    @pytest.mark.parametrize("flag", NON_FINITE_FLAGS)
+    def test_non_finite_flag_is_one_line_error(self, capsys, flag):
+        code, out, err = run(capsys, "rates", *flag)
+        assert_one_line_error(code, err)
+        assert out == ""
+
+    def test_channel_at_zero_wavelength_is_one_line_error(self, capsys):
+        code, _, err = run(capsys, "rates", "--channels", "3",
+                           "--pitch-nm", "775", "--center-nm", "775")
+        assert_one_line_error(code, err)
 
 
 class TestRoute:
@@ -178,6 +203,13 @@ class TestAllocate:
                            "--channels", "10")
         assert code == 0
         assert out.splitlines()[-1] == "status: ok"
+
+    @pytest.mark.parametrize("flag", NON_FINITE_FLAGS)
+    def test_non_finite_flag_is_one_line_error(self, capsys, flag):
+        code, out, err = run(capsys, "allocate", "--topology", "simple6",
+                             "--source", "A", "--strategy", "lpt", *flag)
+        assert_one_line_error(code, err)
+        assert out == ""
 
     def test_unknown_strategy_is_usage_error(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from eprnet import spectrum
 from eprnet import (
     SPEED_OF_LIGHT_NM_THZ,
     ChannelGrid,
@@ -158,11 +160,35 @@ class TestValidation:
         with pytest.raises(ValueError):
             ChannelGrid(center_wavelength_nm=-1.0)
 
+    @pytest.mark.parametrize("field", ["channel_width_nm", "channel_pitch_nm",
+                                       "center_wavelength_nm"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_grid_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ChannelGrid(**{field: value})
+
+    def test_grid_rejects_channel_at_or_below_zero_nm(self):
+        # Channel 1 sits at 775 - 775 nm; its frequency would divide by 0.
+        with pytest.raises(ValueError, match="channel 1"):
+            ChannelGrid(3, 0.1, 775.0, 775.0)
+        assert channel_center_wavelength(ChannelGrid(3, 0.1, 774.0, 775.0), 1) == 1.0
+
     def test_profile_rejects_bad_values(self):
         with pytest.raises(ValueError):
             SpectrumProfile(fwhm_nm=0.0)
         with pytest.raises(ValueError):
             SpectrumProfile(peak_rate=-1.0)
+
+    @pytest.mark.parametrize("field", ["fwhm_nm", "peak_rate"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_profile_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SpectrumProfile(**{field: value})
+
+    def test_profile_rejects_fwhm_whose_square_underflows(self):
+        with pytest.raises(ValueError, match="fwhm_nm"):
+            SpectrumProfile(fwhm_nm=1e-200)
+        SpectrumProfile(fwhm_nm=1e-150)
 
     def test_rate_vector_validation(self):
         with pytest.raises(ValueError):
@@ -171,6 +197,10 @@ class TestValidation:
             RateVector((1.0, -0.5))
         with pytest.raises(ValueError):
             RateVector((float("nan"),))
+        with pytest.raises(ValueError, match="index 1"):
+            RateVector((1.0, math.inf))
+        with pytest.raises(ValueError, match="finite total"):
+            RateVector((1e308, 1e308))
         vec = RateVector((1.0, 2.0))
         assert len(vec) == 2
         assert vec[1] == 2.0
@@ -180,6 +210,42 @@ class TestValidation:
         # A compensated sum (builtin sum() from Python 3.12) would give
         # 1.000000000000001 and move the sweep CSV bytes.
         assert RateVector((1.0,) + (1e-16,) * 10).total == 1.0
+
+    @given(st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.0, 1e-16, 2.5]),
+                    min_size=1, max_size=40))
+    def test_descending_order(self, rates):
+        vec = RateVector(tuple(rates))
+        assert vec.descending == tuple(
+            sorted(range(len(rates)), key=lambda x: (-rates[x], x)))
+
+    @given(st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.0, 1e-16, 2.5]),
+                    min_size=1, max_size=40))
+    def test_running_sums_match_a_walk(self, rates):
+        # Bit for bit the masses a walk adding one channel at a time holds.
+        vec = RateVector(tuple(rates))
+        for start in range(len(rates)):
+            mass = 0.0
+            walk = []
+            for r in rates[start:]:
+                mass += r
+                walk.append(mass)
+            assert list(vec.running_sums[start]) == walk
+
+    def test_running_sums_keep_within_their_budget(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "_ROW_BUDGET", 50)
+        rates = tuple(0.1 * (x % 7) for x in range(40))
+        vec = RateVector(rates)
+        for start in (0, 1, 5, 0, 39, 20, 21):
+            row = vec.running_sums[start]
+            assert list(row) == list(itertools.accumulate(rates[start:]))
+            assert sum(map(len, vec.running_sums.values())) <= 50
+
+    def test_derived_orders_are_cached_and_ignored_by_equality(self):
+        vec = RateVector((1.0, 3.0, 2.0))
+        assert vec.descending is vec.descending
+        assert vec.running_sums[1] is vec.running_sums[1]
+        assert vec == RateVector((1.0, 3.0, 2.0))
+        assert hash(vec) == hash(RateVector((1.0, 3.0, 2.0)))
 
     def test_speed_of_light_constant(self):
         assert SPEED_OF_LIGHT_NM_THZ == C
