@@ -437,116 +437,106 @@ def modified_lpt(instance: AllocationInstance) -> Allocation:
     return _finish(instance, assign)
 
 
-def _hall_feasible(fmat: np.ndarray, reqs: np.ndarray, deficit: np.ndarray,
-                   available: int) -> bool:
-    """Matching existence for per-pair targets over the remaining channels.
-
-    ``fmat[q]`` holds pair q's resulting rate for each remaining channel,
-    sorted descending, so every eligibility set is a prefix of the same
-    ordering and Hall's condition reduces to sorted prefix-length counts.
-    """
-    if not deficit.any():
-        return True
-    counts = (fmat[deficit] >= reqs[deficit, None]).sum(axis=1)
-    counts.sort()
-    if len(counts) > available:
-        return False
-    return bool((counts >= np.arange(1, len(counts) + 1)).all())
-
-
 def _matching_rounds(instance: AllocationInstance, *, frugal: bool) -> Allocation:
     """One full run of the round-based matching scheme.
 
     Every round finds the highest threshold t* such that each pair below
-    t* can take one distinct remaining channel reaching it (binary search
-    over the finite set of reachable cumulative values, Hall feasibility
-    on prefix eligibility sets).  Pairs already at t* skip the round.
+    t* can take one distinct remaining channel reaching it.  Pairs
+    already at t* skip the round.
 
     ``frugal=True`` then hands each needy pair its cheapest sufficient
     channel, minimizing the generation rate consumed per round so large
     channels survive for later rounds.  ``frugal=False`` instead raises
-    pairs' individual targets as far as the others' targets allow, which
-    spends channels faster but maximizes the round's whole rate profile,
-    not only its minimum.  Channels that can no longer improve the
-    minimum are dealt to the currently poorest pairs.
+    the pairs' individual targets, one pair at a time in index order, as
+    far as the others' targets allow; that spends channels faster but
+    maximizes the round's whole rate profile, not only its minimum.
+    Channels that can no longer improve the minimum are dealt to the
+    currently poorest pairs.
+
+    Both steps read Hall's condition off counts.  Row q of ``fmat`` holds
+    pair q's resulting rate for each remaining channel in descending-rate
+    order, so it never increases, and the channels that lift q to a
+    target are a prefix whose length is q's eligible count.  A matching
+    exists iff the needy pairs' counts, sorted ascending, have their i-th
+    entry (from 0) >= i + 1.
+
+    * t*: a pair's count is at most x iff fmat[q, x] falls short, so t
+      passes iff, for every x, at most x entries of column x lie below
+      t, and at most as many pairs as channels have a current rate below
+      t.  t* is the least of the x-th smallest entries (from 0) of
+      columns x < k and, when fewer channels than pairs remain, the
+      a-th smallest current rate for a remaining channels.
+    * Raising pair q: let D be the other needy pairs' counts, sorted
+      ascending, and j one past the last i with D[i] < i + 2 (0 if
+      none).  D passes Hall's test, so the smallest count q may keep is
+      j + 1, and q's target becomes fmat[q, j] when that beats its
+      current target.
+
+    Every target is an entry of ``fmat`` or a current rate, compared with
+    ``>=``, and feasibility is monotone in each target, so both steps pick
+    exactly what a bisection over those entries with a full Hall check
+    per probe would.
     """
-    k, m = instance.pair_count, instance.channel_count
+    k = instance.pair_count
     etas = np.asarray(instance.etas)
     n = instance.rates.rates
-    assign = [-1] * m
+    rates = np.asarray(n)
+    assign = [-1] * instance.channel_count
     mass = np.zeros(k)
-    remaining = list(range(m))
+    # Unassigned channels by descending rate (ties by index).
+    free = np.asarray(instance.rates.descending)
 
-    while remaining:
+    while free.size:
+        available = free.size
         r = etas * mass
-        # Channels sorted by descending rate (ties by index) so that each
-        # pair's eligible set is a prefix.
-        rem_sorted = [x for x in instance.rates.descending if assign[x] < 0]
-        vals = np.asarray([n[x] for x in rem_sorted])
-        fmat = r[:, None] + etas[:, None] * vals[None, :]
+        fmat = r[:, None] + etas[:, None] * rates[free][None, :]
 
-        candidates = np.unique(np.concatenate([fmat.ravel(), r]))
-        lo, hi = 0, len(candidates) - 1  # candidates[lo] always feasible
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            t = candidates[mid]
-            deficit = r < t
-            reqs = np.where(deficit, t, r)
-            if _hall_feasible(fmat, reqs, deficit, len(rem_sorted)):
-                lo = mid
-            else:
-                hi = mid - 1
-        t_star = float(candidates[lo])
+        # t* and the raised targets: see the docstring.
+        square = min(k, available)
+        t_star = np.sort(fmat[:, :square], axis=0).diagonal().min()
+        if available < k:
+            t_star = min(t_star, np.partition(r, available)[available])
 
-        deficit = r < t_star
+        deficit = (r < t_star).tolist()
         reqs = np.where(deficit, t_star, r)
+        counts = (fmat >= reqs[:, None]).sum(axis=1).tolist()
         if not frugal:
-            # Raise individual targets while the rest stay feasible.
+            pool = sorted(c for c, d in zip(counts, deficit) if d)
             for q in range(k):
-                own = fmat[q][fmat[q] > reqs[q]]
-                if own.size == 0:
-                    continue
-                own = np.unique(own)
-                qlo, qhi = 0, len(own) - 1
-                best = None
-                while qlo <= qhi:
-                    qmid = (qlo + qhi) // 2
-                    trial = reqs.copy()
-                    trial[q] = own[qmid]
-                    trial_deficit = deficit.copy()
-                    trial_deficit[q] = True
-                    if _hall_feasible(fmat, trial, trial_deficit,
-                                      len(rem_sorted)):
-                        best = own[qmid]
-                        qlo = qmid + 1
-                    else:
-                        qhi = qmid - 1
-                if best is not None:
-                    reqs[q] = best
+                if deficit[q]:
+                    del pool[bisect.bisect_left(pool, counts[q])]
+                j = len(pool)
+                while j and pool[j - 1] >= j + 1:
+                    j -= 1
+                if j < available and fmat[q, j] > reqs[q]:
+                    reqs[q] = fmat[q, j]
                     deficit[q] = True
+                    counts[q] = int(np.count_nonzero(fmat[q] >= reqs[q]))
+                if deficit[q]:
+                    bisect.insort(pool, counts[q])
 
         needy = [q for q in range(k) if deficit[q]]
         if not needy:
             # No remaining channel improves the minimum: deal the rest to
             # the poorest pairs and stop.
-            _deal_to_poorest(instance, assign, remaining, list(r))
+            _deal_to_poorest(instance, assign, sorted(free.tolist()), r.tolist())
             break
 
         # Most constrained pair first; each takes its smallest eligible
         # remaining channel, which minimizes the total assigned rate.
-        prefix_len = {q: int((fmat[q] >= reqs[q]).sum()) for q in needy}
-        taken = [False] * len(rem_sorted)
-        for q in sorted(needy, key=lambda q: (prefix_len[q], q)):
-            pos = prefix_len[q] - 1
+        channels = free.tolist()
+        taken = [False] * available
+        for q in sorted(needy, key=lambda q: (counts[q], q)):
+            pos = counts[q] - 1
             while pos >= 0 and taken[pos]:
                 pos -= 1
             if pos < 0:
                 raise AllocationError("internal error: matching round infeasible")
             taken[pos] = True
-            x = rem_sorted[pos]
+            x = channels[pos]
             assign[x] = q
             mass[q] += n[x]
-            remaining.remove(x)
+        free = free[~np.asarray(taken)]
 
     return _finish(instance, assign)
 

@@ -39,9 +39,10 @@ def jain_index(received: Sequence[float]) -> float:
         if not (v >= 0):
             raise MetricsError(f"rates must be >= 0, got {v}")
     peak = max(values)
-    if 0.0 < peak < 1e-150:
+    if 0.0 < peak < 1e-150 or peak * len(values) > 1e150:
         # The squares would fall into the subnormal range and lose their
-        # precision; the index is scale-invariant, so rescale first.
+        # precision, or the squared total would overflow; the index is
+        # scale-invariant, so rescale first.
         values = [v / peak for v in values]
     # Left-to-right sums: builtin sum() compensates its rounding from
     # Python 3.12 on, which would make the index depend on the interpreter.

@@ -5,10 +5,11 @@ the library internals, so agreement between the two is evidence of
 correctness rather than of shared bugs.  Some exceptions pin tie rules
 and rounding rather than values: the unpruned exact search, which holds
 the branch and bound to the very same assignment; the channel-by-channel
-first-fit walk and the min-scan LPT, the library's earlier forms of those
-heuristics, kept to hold the faster ones to the very same allocations;
-and the per-pair router at the end, the library's earlier, simpler
-router, kept to hold the faster one to the very same routes.
+first-fit walk, the min-scan LPT and the Hall-bisecting matching rounds,
+the library's earlier forms of those heuristics, kept to hold the faster
+ones to the very same allocations; and the per-pair router at the end,
+the library's earlier, simpler router, kept to hold the faster one to the
+very same routes.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import heapq
 import math
 from typing import Hashable, Sequence
+
+import numpy as np
 
 from eprnet import (
     Allocation,
@@ -189,7 +192,6 @@ def lp_fractional_search(etas: Sequence[float], rates: Sequence[float]) -> float
     optima.  Scaling rates by s scales the optimum by s exactly, so the
     result is divided back out.
     """
-    import numpy as np
     from scipy.optimize import linprog
 
     k, m = len(etas), len(rates)
@@ -339,6 +341,109 @@ def reference_modified_lpt(instance: AllocationInstance) -> Allocation:
         p = min(range(k), key=lambda q: (received[q], q))
         assign[x] = p
         received[p] += etas[p] * instance.rates[x]
+    return _allocation(instance, assign)
+
+
+# --- pinned matching rounds ------------------------------------------------
+#
+# The library's first form of the round-based matching scheme: every
+# candidate target is settled by a full Hall check over the k x m matrix of
+# resulting rates.  The faster form must return the very same allocations.
+
+
+def _ref_hall_feasible(fmat: np.ndarray, reqs: np.ndarray, deficit: np.ndarray,
+                       available: int) -> bool:
+    """Matching existence for per-pair targets over the remaining channels."""
+    if not deficit.any():
+        return True
+    counts = (fmat[deficit] >= reqs[deficit, None]).sum(axis=1)
+    counts.sort()
+    if len(counts) > available:
+        return False
+    return bool((counts >= np.arange(1, len(counts) + 1)).all())
+
+
+def reference_matching_rounds(instance: AllocationInstance, *,
+                              frugal: bool) -> Allocation:
+    """One run of the matching scheme, bisecting every target on Hall checks."""
+    k, m = instance.pair_count, instance.channel_count
+    etas = np.asarray(instance.etas)
+    n = list(instance.rates)
+    descending = sorted(range(m), key=lambda x: (-n[x], x))
+    assign = [-1] * m
+    mass = np.zeros(k)
+    remaining = list(range(m))
+
+    while remaining:
+        r = etas * mass
+        rem_sorted = [x for x in descending if assign[x] < 0]
+        vals = np.asarray([n[x] for x in rem_sorted])
+        fmat = r[:, None] + etas[:, None] * vals[None, :]
+
+        candidates = np.unique(np.concatenate([fmat.ravel(), r]))
+        lo, hi = 0, len(candidates) - 1  # candidates[lo] always feasible
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            t = candidates[mid]
+            deficit = r < t
+            reqs = np.where(deficit, t, r)
+            if _ref_hall_feasible(fmat, reqs, deficit, len(rem_sorted)):
+                lo = mid
+            else:
+                hi = mid - 1
+        t_star = float(candidates[lo])
+
+        deficit = r < t_star
+        reqs = np.where(deficit, t_star, r)
+        if not frugal:
+            # Raise individual targets while the rest stay feasible.
+            for q in range(k):
+                own = fmat[q][fmat[q] > reqs[q]]
+                if own.size == 0:
+                    continue
+                own = np.unique(own)
+                qlo, qhi = 0, len(own) - 1
+                best = None
+                while qlo <= qhi:
+                    qmid = (qlo + qhi) // 2
+                    trial = reqs.copy()
+                    trial[q] = own[qmid]
+                    trial_deficit = deficit.copy()
+                    trial_deficit[q] = True
+                    if _ref_hall_feasible(fmat, trial, trial_deficit,
+                                          len(rem_sorted)):
+                        best = own[qmid]
+                        qlo = qmid + 1
+                    else:
+                        qhi = qmid - 1
+                if best is not None:
+                    reqs[q] = best
+                    deficit[q] = True
+
+        needy = [q for q in range(k) if deficit[q]]
+        if not needy:
+            # Deal the rest, channel by channel, to a poorest pair.
+            received = list(r)
+            for x in remaining:
+                p = min(range(k), key=lambda q: (received[q], q))
+                assign[x] = p
+                received[p] += etas[p] * n[x]
+            break
+
+        prefix_len = {q: int((fmat[q] >= reqs[q]).sum()) for q in needy}
+        taken = [False] * len(rem_sorted)
+        for q in sorted(needy, key=lambda q: (prefix_len[q], q)):
+            pos = prefix_len[q] - 1
+            while pos >= 0 and taken[pos]:
+                pos -= 1
+            if pos < 0:
+                raise AssertionError("matching round infeasible")
+            taken[pos] = True
+            x = rem_sorted[pos]
+            assign[x] = q
+            mass[q] += n[x]
+            remaining.remove(x)
+
     return _allocation(instance, assign)
 
 

@@ -33,11 +33,13 @@ from eprnet import (
     received_rates,
     round_robin,
 )
+from eprnet.allocation import _matching_rounds
 from oracles import (
     enumerate_best_min,
     lp_fractional_search,
     reference_exact_dfs,
     reference_first_fit,
+    reference_matching_rounds,
     reference_modified_lpt,
 )
 
@@ -590,6 +592,28 @@ class TestBezakovaMatching:
         allocation = bezakova_matching(inst)
         assert allocation.min_rate >= bound * (1 - 1e-12)
         assert_partition(inst, allocation)
+
+    @staticmethod
+    def assert_matches_hall_bisection(inst):
+        frugal = reference_matching_rounds(inst, frugal=True)
+        generous = reference_matching_rounds(inst, frugal=False)
+        assert _matching_rounds(inst, frugal=True) == frugal
+        assert _matching_rounds(inst, frugal=False) == generous
+        assert bezakova_matching(inst) == (
+            frugal if frugal.min_rate >= generous.min_rate else generous)
+
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_matches_hall_bisection_on_tie_prone_instances(self, chunk):
+        # Targets read off sorted eligible counts must be exactly the ones
+        # a bisection with a full Hall check per probe settles on.
+        rng = random.Random(6600 + chunk)
+        for _ in range(150):
+            self.assert_matches_hall_bisection(tie_prone_instance(rng))
+
+    @pytest.mark.parametrize("topology", ["simple6", "ilec17"])
+    def test_matches_hall_bisection_on_bundled_placements(self, topology):
+        for inst in bundled_instances(topology):
+            self.assert_matches_hall_bisection(inst)
 
 
 class TestLpRound:

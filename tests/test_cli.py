@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -153,6 +154,16 @@ class TestAllocate:
         assert code == 0
         assert "minimum rate:" in out
         assert "jain index:" in out
+
+    def test_huge_peak_rate_gives_finite_jain_index(self, capsys):
+        # Squares of these rates overflow a float.
+        code, out, _ = run(capsys, "allocate", "--topology", "simple6",
+                           "--source", "A", "--strategy", "lpt",
+                           "--peak-rate", "1e200")
+        assert code == 0
+        line, = (ln for ln in out.splitlines() if ln.startswith("jain index:"))
+        value = float(line.split(":")[1])
+        assert math.isfinite(value) and 1.0 / 15 <= value <= 1.0
 
     def test_random_needs_seed(self, capsys):
         code, _, err = run(capsys, "allocate", "--topology", "simple6",

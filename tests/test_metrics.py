@@ -30,6 +30,12 @@ def brute_force_jain(xs):
     return float(total * total / (len(xs) * square))
 
 
+# Rates from 1e-300 to about 1e300, spread evenly over the exponents;
+# squares of those above about 1e154 overflow a float.
+any_magnitude = st.builds(lambda mantissa, exp: mantissa * 10.0 ** exp,
+                          st.floats(1.0, 9.99), st.integers(-300, 299))
+
+
 class TestJainIndex:
     def test_equal_shares(self):
         assert jain_index([1.0, 1.0, 1.0]) == 1.0
@@ -72,6 +78,15 @@ class TestJainIndex:
     @settings(max_examples=150, deadline=None)
     def test_bounds_and_reference_formula(self, xs):
         value = jain_index(xs)
+        assert 1.0 / len(xs) - 1e-12 <= value <= 1.0 + 1e-12
+        assert value == pytest.approx(brute_force_jain(xs), rel=1e-12, abs=1e-12)
+
+    @given(st.lists(st.one_of(st.just(0.0), any_magnitude), min_size=1,
+                    max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_finite_and_bounded_at_any_magnitude(self, xs):
+        value = jain_index(xs)
+        assert math.isfinite(value)
         assert 1.0 / len(xs) - 1e-12 <= value <= 1.0 + 1e-12
         assert value == pytest.approx(brute_force_jain(xs), rel=1e-12, abs=1e-12)
 
