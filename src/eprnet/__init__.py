@@ -19,7 +19,6 @@ from .allocation import (
 )
 from .harness import (
     ALL_STRATEGIES,
-    ORDER_SENSITIVE,
     ConfigError,
     ExperimentConfig,
     ExperimentReport,
@@ -59,13 +58,11 @@ from .netgraph import (
     transmittance,
 )
 from .routing import (
-    DisjointPair,
     RoutePlan,
     RouteTable,
     RoutingError,
     all_pair_routes,
     route_nodes,
-    suurballe_disjoint_pair,
 )
 from .spectrum import (
     SPEED_OF_LIGHT_NM_THZ,

@@ -47,26 +47,39 @@ class ConfigError(ValueError):
 
 
 # name -> (run, order_sensitive, gated), in sweep order: it fixes the row
-# order and each strategy's index in the run seeds.  run(instance, order,
-# seed, node_budget) returns an Allocation, or the exact search's
-# ExactResult; it looks its allocation function up here when called, so
-# patching this module's attribute reaches every run.  Gated (exact-only)
-# strategies get a "budget" row, without running, beyond exact_max_mk
-# channels times pairs, and a sweep reuses their first proven optimum for
-# the remaining runs instead of searching again.
+# order and each strategy's index in the run seeds.  run(instance, seed,
+# node_budget) returns an Allocation, or the exact search's ExactResult; it
+# looks its allocation function up here when called, so patching this
+# module's attribute reaches every run.  Only the strategies that take a pair
+# order derive one from the seed, and random draws its own shuffle from it.
+# Gated (exact-only) strategies get a "budget" row, without running, beyond
+# exact_max_mk channels times pairs, and a sweep reuses their first proven
+# optimum for the remaining runs instead of searching again.
 _STRATEGIES = {
-    "exact": (lambda inst, order, seed, node_budget:
-              exact_maxmin(inst, pair_order=order, node_budget=node_budget),
+    "exact": (lambda inst, seed, node_budget:
+              exact_maxmin(inst, pair_order=_pair_order(inst, seed),
+                           node_budget=node_budget),
               True, True),
-    "first-fit": (lambda inst, order, *_: first_fit(inst, order), True, False),
-    "round-robin": (lambda inst, order, *_: round_robin(inst, order), True, False),
-    "random": (lambda inst, order, seed, _: random_balanced(inst, seed), True, False),
+    "first-fit": (lambda inst, seed, _: first_fit(inst, _pair_order(inst, seed)),
+                  True, False),
+    "round-robin": (lambda inst, seed, _: round_robin(inst, _pair_order(inst, seed)),
+                    True, False),
+    "random": (lambda inst, seed, _: random_balanced(inst, seed), True, False),
     "lpt": (lambda inst, *_: modified_lpt(inst), False, False),
     "bd-matching": (lambda inst, *_: bezakova_matching(inst), False, False),
     "lp-round": (lambda inst, *_: lp_round(inst), False, False),
 }
 ALL_STRATEGIES = tuple(_STRATEGIES)
-ORDER_SENSITIVE = frozenset(name for name, entry in _STRATEGIES.items() if entry[1])
+
+
+def _pair_order(instance: AllocationInstance, seed: int | None
+                ) -> tuple[int, ...] | None:
+    """A PCG64 shuffle of the pairs for ``seed``; None keeps their natural order."""
+    if seed is None:
+        return None
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return tuple(int(p) for p in rng.permutation(instance.pair_count))
+
 
 _MASK64 = (1 << 64) - 1
 
@@ -118,6 +131,13 @@ class ExperimentConfig:
             raise ConfigError("need at least one wss loss value")
         if not self.strategies:
             raise ConfigError("need at least one strategy")
+        # One row per (loss, source, strategy): a repeated entry would
+        # repeat rows.
+        for name in ("wss_losses", "strategies", "sources"):
+            values = getattr(self, name) or ()
+            for pos, value in enumerate(values):
+                if value in values[:pos]:
+                    raise ConfigError(f"{name} lists {value!r} more than once")
         unknown = set(self.strategies) - set(ALL_STRATEGIES)
         if unknown:
             raise ConfigError(
@@ -325,18 +345,14 @@ def allocate_once(instance: AllocationInstance, strategy: str, *,
                   ) -> tuple[Allocation, bool]:
     """Run one strategy once; return its Allocation and whether it completed.
 
-    ``seed`` feeds the pair-order shuffle for order-sensitive strategies
-    (and the channel shuffle for ``random``, which requires it); omitting
-    it keeps the natural pair order.  ``node_budget`` goes to
+    ``seed`` feeds the pair-order shuffle of exact, first-fit and
+    round-robin, and the channel shuffle of ``random``, which requires it;
+    omitting it keeps the natural pair order.  ``node_budget`` goes to
     ``exact_maxmin``, which alone can stop uncompleted, at that budget.
     """
     if strategy not in _STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
-    order = None
-    if seed is not None:
-        rng = np.random.Generator(np.random.PCG64(seed))
-        order = tuple(int(p) for p in rng.permutation(instance.pair_count))
-    result = _STRATEGIES[strategy][0](instance, order, seed, node_budget)
+    result = _STRATEGIES[strategy][0](instance, seed, node_budget)
     if isinstance(result, ExactResult):
         return result.allocation, result.optimal
     return result, True
@@ -390,6 +406,10 @@ def emit_plot(report: ExperimentReport, path: str | Path) -> None:
     normalization reference.  Rows without data (skipped or budget) leave
     their slot empty.
     """
+    # Imported here: html loads its entity tables (about 0.35 MB and 2 ms),
+    # which only plotting needs.
+    from html import escape
+
     if not report.rows:
         raise ValueError("nothing to plot: the report has no rows")
     losses = sorted({row.wss_loss_db for row in report.rows})
@@ -406,7 +426,7 @@ def emit_plot(report: ExperimentReport, path: str | Path) -> None:
         x = 10 + si * 130
         color = _PALETTE[si % len(_PALETTE)]
         parts.append(f'<rect x="{x}" y="6" width="12" height="12" fill="{color}"/>')
-        parts.append(f'<text x="{x + 16}" y="16">{strategy}</text>')
+        parts.append(f'<text x="{x + 16}" y="16">{escape(strategy)}</text>')
 
     for panel_idx, loss in enumerate(losses):
         panel_rows = [r for r in report.rows if r.wss_loss_db == loss]
@@ -422,7 +442,7 @@ def emit_plot(report: ExperimentReport, path: str | Path) -> None:
         reference = report.reference_for(loss)
         parts.append(
             f'<text x="{left}" y="{top - 12}" font-size="13">'
-            f'{report.topology}: switch loss {_fmt(loss)} dB'
+            f'{escape(report.topology)}: switch loss {_fmt(loss)} dB'
             f' (reference {format(reference, ".3g")})</text>'
         )
         parts.append(
@@ -454,7 +474,7 @@ def emit_plot(report: ExperimentReport, path: str | Path) -> None:
             gx = left + gi * group_w
             parts.append(
                 f'<text x="{gx + group_w / 2}" y="{bottom + 16}" '
-                f'text-anchor="middle">{source}</text>'
+                f'text-anchor="middle">{escape(source)}</text>'
             )
             for si, strategy in enumerate(strategies):
                 value = values.get((source, strategy))
@@ -463,8 +483,9 @@ def emit_plot(report: ExperimentReport, path: str | Path) -> None:
                 h = panel_h * value / vmax
                 x = gx + group_w * 0.1 + si * bar_w
                 parts.append(
-                    f'<rect class="bar" data-source="{source}" '
-                    f'data-strategy="{strategy}" data-value="{format(value, ".9g")}" '
+                    f'<rect class="bar" data-source="{escape(source)}" '
+                    f'data-strategy="{escape(strategy)}" '
+                    f'data-value="{format(value, ".9g")}" '
                     f'x="{format(x, ".2f")}" y="{format(bottom - h, ".4f")}" '
                     f'width="{format(bar_w, ".2f")}" height="{format(h, ".4f")}" '
                     f'fill="{_PALETTE[si % len(_PALETTE)]}"/>'
@@ -474,8 +495,7 @@ def emit_plot(report: ExperimentReport, path: str | Path) -> None:
 
 
 __all__ = [
-    "ALL_STRATEGIES", "ORDER_SENSITIVE", "ConfigError", "ExperimentConfig",
-    "ExperimentReport", "SweepRow", "allocate_once", "config_from_json",
-    "derive_seed", "emit_csv", "emit_plot", "read_csv_rows",
-    "run_placement_sweep", "splitmix64",
+    "ALL_STRATEGIES", "ConfigError", "ExperimentConfig", "ExperimentReport",
+    "SweepRow", "allocate_once", "config_from_json", "derive_seed", "emit_csv",
+    "emit_plot", "read_csv_rows", "run_placement_sweep", "splitmix64",
 ]

@@ -128,9 +128,6 @@ class PhysicalTopology:
                 out.add(link.a)
         return tuple(sorted(out))
 
-    def degree(self, node_id: str) -> int:
-        return len(self.neighbors(node_id))
-
 
 def _require_keys(obj: dict, allowed: set[str], required: Iterable[str], what: str) -> None:
     unknown = set(obj) - allowed

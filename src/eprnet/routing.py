@@ -39,11 +39,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Hashable, Sequence
+from typing import Sequence
 
 from .netgraph import RoutingGraph, gen_vertex, mem_vertex, transmittance
 
-EdgeTriple = tuple[Hashable, Hashable, float]
 # (edge marker, head, weight); a marker is an edge id, or ~eid for the
 # reversal of first-path edge eid.
 _Arc = tuple[int, int, float]
@@ -51,15 +50,6 @@ _Arc = tuple[int, int, float]
 
 class RoutingError(ValueError):
     """Raised for malformed routing queries and graphs."""
-
-
-@dataclass(frozen=True)
-class DisjointPair:
-    """Two edge-disjoint paths (edge-id sequences) and their joint weight."""
-
-    first: tuple[int, ...]
-    second: tuple[int, ...]
-    total_weight: float
 
 
 @dataclass(frozen=True)
@@ -116,20 +106,29 @@ def _dijkstra(adjacency: Sequence[Sequence[_Arc]], start: int, stop: int = -1
 
 
 class _Placement:
-    """A compiled loss graph and its first Suurballe pass from ``src``.
+    """A loss graph compiled to integer arrays, and its first Suurballe pass.
 
-    Vertices are 0..n-1 and edges keep their ids.  ``route(end_a, end_b)``
-    answers one terminal query: the terminal has a zero-weight in-edge
-    from ``end_a`` (id m) and one from ``end_b`` (id m+1), where m is the
-    number of real edges.  A single destination ``dst`` is the query
-    ``(dst, dst)``.
+    Vertices are numbered by their position in ``graph.vertices`` and edges
+    keep their ids.  ``route(end_a, end_b)`` answers one terminal query: the
+    terminal has a zero-weight in-edge from ``end_a`` (id m) and one from
+    ``end_b`` (id m+1), where m is the number of real edges.
     """
 
-    def __init__(self, n: int, tails: Sequence[int], heads: Sequence[int],
-                 weights: Sequence[float], src: int) -> None:
+    def __init__(self, graph: RoutingGraph) -> None:
+        index = {v: pos for pos, v in enumerate(graph.vertices)}
+        try:
+            tails = [index[e.tail] for e in graph.edges]
+            heads = [index[e.head] for e in graph.edges]
+        except KeyError as exc:
+            raise RoutingError(f"edge endpoint {exc.args[0]!r} is not a vertex") from None
+        weights = [e.weight_db for e in graph.edges]
+        # RoutingGraph is public and can be built by hand, so its weights
+        # are checked here rather than trusted.
         for eid, weight in enumerate(weights):
             if not 0.0 <= weight < math.inf:
                 raise RoutingError(f"edge {eid} has invalid weight {weight}")
+        n = len(index)
+        src = index[gen_vertex()]
         adjacency: list[list[_Arc]] = [[] for _ in range(n)]
         for eid, (tail, head, weight) in enumerate(zip(tails, heads, weights)):
             adjacency[tail].append((eid, head, weight))
@@ -143,7 +142,7 @@ class _Placement:
             if dist[tail] < math.inf and dist[head] < math.inf:
                 reduced[tail].append(
                     (eid, head, max(0.0, weight + dist[tail] - dist[head])))
-        self.tails, self.heads, self.src = tails, heads, src
+        self.index, self.tails, self.heads, self.src = index, tails, heads, src
         self.edge_count = len(tails)
         self.pred, self.rank, self.reduced = pred, rank, reduced
 
@@ -210,64 +209,6 @@ class _Placement:
         return bodies[0], bodies[1]
 
 
-def _compile_graph(graph: RoutingGraph) -> tuple[_Placement, dict[Hashable, int]]:
-    index = {v: pos for pos, v in enumerate(graph.vertices)}
-    try:
-        tails = [index[e.tail] for e in graph.edges]
-        heads = [index[e.head] for e in graph.edges]
-    except KeyError as exc:
-        raise RoutingError(f"edge endpoint {exc.args[0]!r} is not a vertex") from None
-    weights = [e.weight_db for e in graph.edges]
-    return _Placement(len(index), tails, heads, weights, index[gen_vertex()]), index
-
-
-def suurballe_disjoint_pair(
-    edges: Sequence[EdgeTriple],
-    src: Hashable,
-    dst: Hashable,
-) -> DisjointPair | None:
-    """Minimum-total-weight pair of edge-disjoint src->dst paths.
-
-    Args:
-        edges: directed multigraph as (tail, head, weight) triples with
-            finite weight >= 0; the triple's position is its edge id.
-        src: start vertex.
-        dst: end vertex, distinct from ``src``.
-
-    Returns:
-        DisjointPair, or None when no two edge-disjoint paths exist.
-        ``total_weight`` is the exactly-rounded sum (math.fsum) of both
-        paths' original edge weights.
-
-    The two Dijkstra passes and the interleaving splice use fixed tie
-    rules, so equal-weight alternatives resolve deterministically.
-    """
-    if src == dst:
-        raise RoutingError("src and dst must differ")
-    index: dict[Hashable, int] = {src: 0}
-    tails = [index.setdefault(tail, len(index)) for tail, _, _ in edges]
-    heads = [index.setdefault(head, len(index)) for _, head, _ in edges]
-    weights = [weight for _, _, weight in edges]
-    placement = _Placement(len(index), tails, heads, weights, 0)
-    if dst not in index:
-        return None
-    result = placement.route(index[dst], index[dst])
-    if result is None:
-        return None
-    total = math.fsum(weights[eid] for path in result for eid in path)
-    return DisjointPair(result[0], result[1], total)
-
-
-def _plan(graph: RoutingGraph, placement: _Placement,
-          index: dict[Hashable, int], a: str, b: str) -> RoutePlan | None:
-    result = placement.route(index[mem_vertex(a)], index[mem_vertex(b)])
-    if result is None:
-        return None
-    total = math.fsum(graph.edges[eid].weight_db for path in result for eid in path)
-    return RoutePlan(pair=(a, b), path_a=result[0], path_b=result[1],
-                     total_loss_db=total, eta=transmittance(total))
-
-
 def all_pair_routes(graph: RoutingGraph) -> RouteTable:
     """Route every unordered node pair; collect the unservable ones.
 
@@ -275,17 +216,22 @@ def all_pair_routes(graph: RoutingGraph) -> RouteTable:
     source's own memory is a valid endpoint, reached directly from the
     generator.
     """
-    placement, index = _compile_graph(graph)
+    placement = _Placement(graph)
+    index = placement.index
     nodes = sorted(v[1] for v in graph.vertices if v[0] == "mem")
     plans: dict[tuple[str, str], RoutePlan] = {}
     infeasible: list[tuple[str, str]] = []
     for ai, a in enumerate(nodes):
         for b in nodes[ai + 1:]:
-            plan = _plan(graph, placement, index, a, b)
-            if plan is None:
+            result = placement.route(index[mem_vertex(a)], index[mem_vertex(b)])
+            if result is None:
                 infeasible.append((a, b))
-            else:
-                plans[(a, b)] = plan
+                continue
+            total = math.fsum(graph.edges[eid].weight_db
+                              for path in result for eid in path)
+            plans[(a, b)] = RoutePlan(pair=(a, b), path_a=result[0],
+                                      path_b=result[1], total_loss_db=total,
+                                      eta=transmittance(total))
     return RouteTable(graph.source, plans, tuple(infeasible))
 
 

@@ -260,8 +260,11 @@ def test_source_degree_drives_min_rate():
     with criterion(7, "source degree ordering on the 17-node network",
                    budget_s=600.0):
         topology = bundled_topology("ilec17")
-        hub = max(topology.node_ids, key=topology.degree)
-        leaf = min(topology.node_ids, key=topology.degree)
+        def degree(i):
+            return len(topology.neighbors(i))
+
+        hub = max(topology.node_ids, key=degree)
+        leaf = min(topology.node_ids, key=degree)
         config = ExperimentConfig(
             topology_path="ilec17",
             seed=MASTER_SEED,

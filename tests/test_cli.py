@@ -340,6 +340,15 @@ class TestSweep:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "channels" in lines[0]
 
+    def test_repeated_list_entries_are_one_line_error(self, capsys, tmp_path):
+        code, _, err = run(capsys, "sweep", "--topology", "simple6",
+                           "--seed", "1", "--runs", "2", "--sources", "A,A",
+                           "--strategies", "lpt,lpt", "--wss-db", "8",
+                           "--wss-db", "8", "--out", str(tmp_path / "x.csv"))
+        assert_one_line_error(code, err)
+        assert "more than once" in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_bad_strategy_flag(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "--topology", "simple6",
                            "--seed", "1", "--strategies", "warp",

@@ -4,13 +4,13 @@ import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eprnet import (
     ALL_STRATEGIES,
-    ORDER_SENSITIVE,
     AllocationError,
     AllocationInstance,
     ConfigError,
@@ -21,7 +21,10 @@ from eprnet import (
     derive_seed,
     emit_csv,
     emit_plot,
+    exact_maxmin,
+    first_fit,
     read_csv_rows,
+    round_robin,
     run_placement_sweep,
     splitmix64,
 )
@@ -142,6 +145,8 @@ class TestConfig:
         '"seed": 1, "sources": 5',
         '"seed": 1, "sources": "AB"',
         '"seed": 1, "strategies": [1]',
+        '"seed": 1, "sources": ["A", "A"]',
+        '"seed": 1, "wss_losses": [8, 8.0]',
         # A removed key is refused, whatever its value.
         '"seed": 1, "exclude_u_turns": "no"',
         '"seed": 1, "exclude_u_turns": 0',
@@ -212,10 +217,24 @@ class TestConfig:
             config_from_json(path)
 
     def test_order_sensitive_membership(self):
-        assert ORDER_SENSITIVE == {"exact", "first-fit", "round-robin",
-                                   "random"}
-        assert set(ALL_STRATEGIES) == ORDER_SENSITIVE | {
-            "lpt", "bd-matching", "lp-round"}
+        # Order-sensitive strategies are averaged over `runs` shuffles;
+        # the others run once.
+        config = small_config(strategies=ALL_STRATEGIES, runs=3,
+                              sources=("A",), channels=4)
+        runs = {row.strategy: row.runs for row in run_placement_sweep(config).rows}
+        assert runs == {"exact": 3, "first-fit": 3, "round-robin": 3,
+                        "random": 3, "lpt": 1, "bd-matching": 1, "lp-round": 1}
+
+    @pytest.mark.parametrize("field, values, repeated", [
+        ("wss_losses", (8.0, 4.0, 8), "8.0"),
+        ("strategies", ("lpt", "exact", "lpt"), "'lpt'"),
+        ("sources", ("A", "B", "A"), "'A'"),
+    ])
+    def test_repeated_entry_rejected(self, field, values, repeated):
+        # A repeat would give one combination several rows.
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(topology_path="simple6", seed=1, **{field: values})
+        assert field in str(exc.value) and repeated in str(exc.value)
 
 
 class TestSweep:
@@ -437,6 +456,26 @@ class TestPlot:
         assert any("4" in t and "dB" in t for t in texts)
         assert any("8" in t and "dB" in t for t in texts)
 
+    def test_markup_in_names_is_escaped(self, tmp_path):
+        ids = ["a&b", 'c"d', "e"]
+        topology = tmp_path / "t.json"
+        topology.write_text(json.dumps({
+            "name": "R&D <lab>",
+            "nodes": [{"id": i} for i in ids],
+            "links": [{"a": a, "b": b, "distance_km": 10.0}
+                      for a, b in zip(ids, ids[1:] + ids[:1])],
+        }))
+        config = ExperimentConfig(topology_path=str(topology), seed=1, runs=2,
+                                  channels=20, strategies=("lpt", "first-fit"))
+        report, root = self.render(tmp_path, config)
+        bars = [el for el in root.iter("{http://www.w3.org/2000/svg}rect")
+                if el.get("class") == "bar"]
+        assert len(bars) == 2 * 3 * 2
+        assert {bar.get("data-source") for bar in bars} == set(ids)
+        texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert set(ids) <= set(texts)
+        assert any(t.startswith("R&D <lab>: switch loss") for t in texts if t)
+
     def test_empty_report_rejected(self, tmp_path):
         from eprnet import ExperimentReport
         empty = ExperimentReport("simple6", 1, (), ())
@@ -466,6 +505,23 @@ class TestAllocateOnce:
         assert len(allocation.assignment) == 10
         _, completed = allocate_once(instance, "exact", seed=3)
         assert completed
+
+    def test_seed_orders_pairs_only_where_the_strategy_reads_it(self):
+        instance = AllocationInstance(
+            (1.0, 0.7, 0.7, 0.4, 0.2),
+            RateVector(tuple(1.0 / (x + 1) for x in range(12))))
+        for seed in (3, 11, 2 ** 63):
+            order = tuple(int(p) for p in np.random.Generator(
+                np.random.PCG64(seed)).permutation(instance.pair_count))
+            assert allocate_once(instance, "first-fit", seed=seed) == (
+                first_fit(instance, order), True)
+            assert allocate_once(instance, "round-robin", seed=seed) == (
+                round_robin(instance, order), True)
+            assert allocate_once(instance, "exact", seed=seed)[0] == (
+                exact_maxmin(instance, pair_order=order).allocation)
+            for strategy in ("lpt", "bd-matching", "lp-round"):
+                assert (allocate_once(instance, strategy, seed=seed)
+                        == allocate_once(instance, strategy))
 
     def test_random_needs_seed(self):
         with pytest.raises(AllocationError, match="seed"):

@@ -22,3 +22,28 @@ def test_runtime_imports_need_only_numpy():
                           text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_public_api_is_pinned():
+    # Adding or removing a public name is a deliberate edit of this list.
+    # The submodules appear too: ``__all__`` is built from ``dir()``.
+    assert sorted(eprnet.__all__) == [
+        "ALL_STRATEGIES", "Allocation", "AllocationError", "AllocationInstance",
+        "ChannelGrid", "ConfigError", "ExactResult", "ExperimentConfig",
+        "ExperimentReport", "GraphEdge", "Link", "LossParams", "MetricsError",
+        "Node", "PhysicalTopology", "RateVector", "RoutePlan", "RouteTable",
+        "RoutingError", "RoutingGraph", "SPEED_OF_LIGHT_NM_THZ",
+        "SpectrumProfile", "SweepRow", "TopologyError", "all_pair_routes",
+        "allocate_once", "allocation", "bezakova_matching",
+        "build_routing_graph", "bundled_topology", "channel_bandwidth",
+        "channel_center_frequency", "channel_center_wavelength",
+        "channels_by_pair", "config_from_json", "derive_seed", "emit_csv",
+        "emit_plot", "exact_maxmin", "first_fit", "fractional_optimum",
+        "gen_vertex", "generation_rates", "harness", "in_port", "jain_index",
+        "link_distance", "load_topology", "lp_round", "mem_vertex", "metrics",
+        "modified_lpt", "netgraph", "normalization_reference",
+        "normalized_min_rate", "out_port", "random_balanced", "read_csv_rows",
+        "received_rates", "round_robin", "route_nodes", "routing",
+        "run_placement_sweep", "spectrum", "splitmix64", "topology_from_dict",
+        "transmittance",
+    ]

@@ -68,7 +68,7 @@ class TestGraphInvariants:
         source = rng.choice(topology.node_ids)
         graph = build_routing_graph(topology, source, default_loss)
 
-        deg = {i: topology.degree(i) for i in topology.node_ids}
+        deg = {i: len(topology.neighbors(i)) for i in topology.node_ids}
         two_l = 2 * len(topology.links)
         adj_s = set(topology.neighbors(source))
         n = len(topology.node_ids)
@@ -346,14 +346,14 @@ class TestBundledTopologies:
         topology = bundled_topology("simple6")
         assert len(topology.node_ids) == 6
         assert len(topology.links) == 8
-        degrees = sorted(topology.degree(i) for i in topology.node_ids)
+        degrees = sorted(len(topology.neighbors(i)) for i in topology.node_ids)
         assert degrees == [2, 2, 3, 3, 3, 3]
 
     def test_ilec17_degree_profile(self):
         topology = bundled_topology("ilec17")
         assert len(topology.node_ids) == 17
         assert len(topology.links) == 110
-        degrees = {i: topology.degree(i) for i in topology.node_ids}
+        degrees = {i: len(topology.neighbors(i)) for i in topology.node_ids}
         assert degrees["M"] == 16
         assert degrees["P"] == 2
         assert degrees["Q"] == 4
@@ -380,4 +380,3 @@ class TestTopologyValidation:
 
     def test_neighbors_sorted(self, star3):
         assert star3.neighbors("s") == ("a", "b")
-        assert star3.degree("s") == 2

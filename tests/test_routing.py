@@ -1,130 +1,168 @@
+import itertools
 import math
 import random
 
 import pytest
 
 from eprnet import (
+    GraphEdge,
     Link,
     LossParams,
     Node,
     PhysicalTopology,
     RoutingError,
+    RoutingGraph,
     all_pair_routes,
     build_routing_graph,
     bundled_topology,
+    gen_vertex,
+    mem_vertex,
     route_nodes,
-    suurballe_disjoint_pair,
     topology_from_dict,
 )
-from oracles import best_disjoint_total, reference_route_table, reference_suurballe
+from oracles import best_disjoint_total, reference_route_table
+
+GEN, A, B = gen_vertex(), mem_vertex("a"), mem_vertex("b")
+
+
+def _graph(edges, extra=()) -> RoutingGraph:
+    """A hand-built loss graph from (tail, head, weight) triples; an edge's
+    id is its position.  ``extra`` vertices are listed right after the
+    generator, even those that no edge touches."""
+    vertices = dict.fromkeys(
+        [GEN, *extra, *(v for tail, head, _ in edges for v in (tail, head))])
+    return RoutingGraph("s", tuple(vertices), tuple(
+        GraphEdge(tail, head, weight, "fiber") for tail, head, weight in edges))
+
+
+def _routes(graph):
+    """``all_pair_routes(graph)``, checked path for path against the pinned
+    router and total for total against exhaustive search."""
+    table = all_pair_routes(graph)
+    assert table == reference_route_table(graph)
+    edges = [(e.tail, e.head, e.weight_db) for e in graph.edges]
+    nodes = sorted(v[1] for v in graph.vertices if v[0] == "mem")
+    for a, b in itertools.combinations(nodes, 2):
+        ext = edges + [(mem_vertex(a), "end", 0.0), (mem_vertex(b), "end", 0.0)]
+        want = best_disjoint_total(ext, GEN, "end")
+        plan = table.plans.get((a, b))
+        if want is None:
+            assert plan is None and (a, b) in table.infeasible
+        else:
+            assert plan is not None
+            assert plan.total_loss_db == want
+            assert not set(plan.path_a) & set(plan.path_b)
+    return table
+
+
+def _random_graph(rng: random.Random, max_edges: int = 14) -> RoutingGraph:
+    """The generator, two to four memories, one to four other vertices, at
+    least one pair of parallel edges and small integer weights, so that
+    equal-loss alternatives abound."""
+    mems = [mem_vertex(name) for name in "abcd"[:rng.randint(2, 4)]]
+    vertices = [GEN, *mems, *(("v", i) for i in range(rng.randint(1, 4)))]
+    edges = []
+    for k in range(rng.randint(2, max_edges)):
+        # Two edges leave the generator, so that some pairs are servable.
+        tail, head = rng.sample(vertices, 2) if k >= 2 else (
+            GEN, rng.choice(vertices[1:]))
+        edges.append((tail, head, float(rng.randint(0, 2))))
+    tail, head, _ = rng.choice(edges)
+    edges.append((tail, head, float(rng.randint(0, 2))))
+    return _graph(edges, extra=mems)
 
 
 class TestSuurballeSmall:
     def test_parallel_edges(self):
-        pair = suurballe_disjoint_pair([("s", "t", 1.0), ("s", "t", 2.0)], "s", "t")
-        assert pair is not None
-        assert pair.first == (0,)
-        assert pair.second == (1,)
-        assert pair.total_weight == 3.0
+        v = ("v",)
+        table = _routes(_graph([(GEN, v, 1.0), (GEN, v, 2.0),
+                                (v, A, 0.0), (v, B, 0.0)]))
+        plan = table.plans[("a", "b")]
+        assert (plan.path_a, plan.path_b) == ((0, 2), (1, 3))
+        assert plan.total_loss_db == 3.0
 
     def test_diamond(self):
-        edges = [
-            ("s", "a", 1.0), ("a", "t", 1.0),
-            ("s", "b", 2.0), ("b", "t", 2.0),
-        ]
-        pair = suurballe_disjoint_pair(edges, "s", "t")
-        assert pair is not None
-        assert pair.total_weight == 6.0
-        assert set(pair.first) | set(pair.second) == {0, 1, 2, 3}
+        x, y, t = ("x",), ("y",), ("t",)
+        table = _routes(_graph([(GEN, x, 1.0), (x, t, 1.0),
+                                (GEN, y, 2.0), (y, t, 2.0),
+                                (t, A, 0.0), (t, B, 0.0)]))
+        plan = table.plans[("a", "b")]
+        assert plan.total_loss_db == 6.0
+        assert set(plan.path_a) | set(plan.path_b) == set(range(6))
 
     def test_shortest_path_blocks_both(self):
-        # The weight-0 middle edge belongs to the unique shortest path;
+        # The weight-0 edge x -> y lies on the unique shortest path to t;
         # the optimal pair must route around it on one side.
-        edges = [
-            ("s", "a", 1.0), ("a", "t", 4.0),
-            ("s", "b", 2.0), ("b", "t", 2.0),
-            ("a", "b", 0.0),
-        ]
-        pair = suurballe_disjoint_pair(edges, "s", "t")
-        assert pair is not None
-        assert pair.total_weight == best_disjoint_total(edges, "s", "t")
+        x, y, t = ("x",), ("y",), ("t",)
+        table = _routes(_graph([(GEN, x, 1.0), (x, t, 4.0),
+                                (GEN, y, 2.0), (y, t, 2.0), (x, y, 0.0),
+                                (t, A, 0.0), (t, B, 0.0)]))
+        plan = table.plans[("a", "b")]
+        assert plan.total_loss_db == 9.0
+        assert 4 not in plan.path_a + plan.path_b
 
     def test_single_path_only(self):
-        assert suurballe_disjoint_pair([("s", "a", 1.0), ("a", "t", 1.0)],
-                                       "s", "t") is None
+        v = ("v",)
+        table = _routes(_graph([(GEN, v, 1.0), (v, A, 1.0), (v, B, 1.0)]))
+        assert table.plans == {}
+        assert table.infeasible == (("a", "b"),)
 
     def test_disconnected(self):
-        assert suurballe_disjoint_pair([("s", "a", 1.0)], "s", "t") is None
+        # mem(b) has no in-edge at all.
+        table = _routes(_graph([(GEN, A, 1.0), (GEN, A, 2.0)], extra=(A, B)))
+        assert table.plans == {}
+        assert table.infeasible == (("a", "b"),)
 
     def test_reversal_relaxed_after_real_edges(self):
-        # Zero-weight ties: relaxing vertex 1's reversed first-path edge
-        # before its real edges would return ((5, 3, 4), (6, 9)) instead,
-        # of equal weight.
-        edges = [(1, 3, 0.0), (1, 3, 1.0), (1, 0, 0.0), (1, 2, 1.0),
-                 (2, 4, 1.0), (0, 1, 0.0), (0, 3, 1.0), (2, 1, 0.0),
-                 (3, 1, 0.0), (3, 4, 0.0)]
-        pair = suurballe_disjoint_pair(edges, 0, 4)
-        assert pair is not None
-        assert (pair.first, pair.second) == ((5, 0, 8, 3, 4), (6, 9))
-        assert [pair.first, pair.second] == reference_suurballe(edges, 0, 4)
+        # Zero-weight ties: relaxing the reversed first-path edge out of a
+        # vertex before its real edges would return ((5, 6), (4,)) instead,
+        # of equal total.
+        v0, v1 = ("v", 0), ("v", 1)
+        table = _routes(_graph([(v0, v1, 1.0), (v1, v0, 0.0), (v0, B, 0.0),
+                                (v0, v1, 0.0), (GEN, B, 1.0), (GEN, v1, 0.0),
+                                (v1, A, 1.0)], extra=(A, B)))
+        plan = table.plans[("a", "b")]
+        assert (plan.path_a, plan.path_b) == ((5, 1, 3, 6), (4,))
+        assert plan.total_loss_db == 2.0
 
     @pytest.mark.parametrize("weight", [math.inf, math.nan, -1.0])
     def test_invalid_weight_rejected(self, weight):
+        graph = _graph([(GEN, A, 1.0), (GEN, B, weight)])
         with pytest.raises(RoutingError, match="invalid weight"):
-            suurballe_disjoint_pair([("s", "t", 1.0), ("s", "t", weight)],
-                                    "s", "t")
+            all_pair_routes(graph)
 
-    def test_same_endpoints_rejected(self):
-        with pytest.raises(ValueError):
-            suurballe_disjoint_pair([("s", "t", 1.0)], "s", "s")
+    def test_edge_off_the_vertex_list_rejected(self):
+        graph = _graph([(GEN, A, 1.0), (GEN, B, 1.0)])
+        graph = RoutingGraph("s", graph.vertices[:-1], graph.edges)
+        with pytest.raises(RoutingError, match="is not a vertex"):
+            all_pair_routes(graph)
 
     def test_edge_disjoint_not_vertex_disjoint(self):
-        # Both paths may share vertex "m" but never an edge.
-        edges = [
-            ("s", "m", 1.0), ("s", "m", 1.0),
-            ("m", "t", 1.0), ("m", "t", 1.0),
-        ]
-        pair = suurballe_disjoint_pair(edges, "s", "t")
-        assert pair is not None
-        assert not set(pair.first) & set(pair.second)
-        assert pair.total_weight == 4.0
+        # Both paths pass through m and n but never share an edge.
+        m, n = ("m",), ("n",)
+        graph = _graph([(GEN, m, 1.0), (GEN, m, 1.0), (m, n, 1.0),
+                        (m, n, 1.0), (n, A, 0.0), (n, B, 0.0)])
+        plan = _routes(graph).plans[("a", "b")]
+        assert plan.total_loss_db == 4.0
+        for path in (plan.path_a, plan.path_b):
+            assert [graph.edges[eid].head for eid in path][:2] == [m, n]
 
 
 class TestSuurballeRandomized:
     @pytest.mark.parametrize("case", range(60))
     def test_matches_exhaustive_oracle(self, case):
-        rng = random.Random(1234 + case)
-        n = rng.randint(2, 6)
-        vertices = list(range(n))
-        edges = []
-        for _ in range(rng.randint(1, 12)):
-            a, b = rng.sample(vertices, 2)
-            edges.append((a, b, round(rng.uniform(0.0, 5.0), 3)))
-        got = suurballe_disjoint_pair(edges, 0, n - 1)
-        want = best_disjoint_total(edges, 0, n - 1)
-        if want is None:
-            assert got is None
-        else:
-            assert got is not None
-            assert got.total_weight == pytest.approx(want, rel=1e-9, abs=1e-9)
-            assert not set(got.first) & set(got.second)
+        _routes(_random_graph(random.Random(1234 + case)))
 
     @pytest.mark.parametrize("case", range(10))
     def test_paths_are_walks(self, case):
-        rng = random.Random(555 + case)
-        n = rng.randint(3, 6)
-        edges = []
-        for _ in range(14):
-            a, b = rng.sample(range(n), 2)
-            edges.append((a, b, rng.uniform(0.1, 3.0)))
-        pair = suurballe_disjoint_pair(edges, 0, n - 1)
-        if pair is None:
-            return
-        for path in (pair.first, pair.second):
-            assert edges[path[0]][0] == 0
-            assert edges[path[-1]][1] == n - 1
-            for prev, cur in zip(path, path[1:]):
-                assert edges[prev][1] == edges[cur][0]
+        graph = _random_graph(random.Random(555 + case), max_edges=24)
+        for (a, b), plan in all_pair_routes(graph).plans.items():
+            for path, end in ((plan.path_a, a), (plan.path_b, b)):
+                edges = [graph.edges[eid] for eid in path]
+                assert edges[0].tail == GEN
+                assert edges[-1].head == mem_vertex(end)
+                for prev, cur in zip(edges, edges[1:]):
+                    assert prev.head == cur.tail
 
 
 class TestPairRoutes:
@@ -260,18 +298,14 @@ class TestRouteIdentity:
 
     def test_random_tie_heavy_multigraphs(self):
         # Small integer weights and parallel edges: many equal-weight
-        # alternatives for the generic entry point.
+        # alternatives in hand-built graphs.
         rng = random.Random(9090)
+        feasible = infeasible = 0
         for _ in range(300):
-            n = rng.randint(2, 6)
-            edges = [(*rng.sample(range(n), 2), float(rng.randint(0, 2)))
-                     for _ in range(rng.randint(1, 16))]
-            got = suurballe_disjoint_pair(edges, 0, n - 1)
-            want = reference_suurballe(edges, 0, n - 1)
-            if want is None:
-                assert got is None
-            else:
-                assert got is not None and [got.first, got.second] == want
+            table = _routes(_random_graph(rng, max_edges=16))
+            feasible += len(table.plans)
+            infeasible += len(table.infeasible)
+        assert feasible > 0 and infeasible > 0
 
     @pytest.mark.parametrize("source", bundled_topology("ilec17").node_ids)
     def test_every_ilec17_placement(self, source, default_loss):
