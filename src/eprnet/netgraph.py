@@ -81,52 +81,54 @@ class PhysicalTopology:
     links: tuple[Link, ...]
 
     def __post_init__(self) -> None:
-        ids = [n.id for n in self.nodes]
-        if len(ids) != len(set(ids)):
+        by_id = {n.id: n for n in self.nodes}
+        if len(by_id) != len(self.nodes):
             raise TopologyError(f"duplicate node ids in topology {self.name!r}")
-        id_set = set(ids)
-        seen = set()
-        linked = set()
+        by_pair: dict[frozenset[str], Link] = {}
+        adjacent: dict[str, set[str]] = {node_id: set() for node_id in by_id}
         for link in self.links:
-            if link.a not in id_set or link.b not in id_set:
+            if link.a not in by_id or link.b not in by_id:
                 raise TopologyError(
                     f"link {link.a}-{link.b} references unknown node"
                 )
             if link.a == link.b:
                 raise TopologyError(f"self-link at node {link.a}")
             key = frozenset((link.a, link.b))
-            if key in seen:
+            if key in by_pair:
                 raise TopologyError(f"duplicate link {link.a}-{link.b}")
-            seen.add(key)
-            linked.update(key)
+            by_pair[key] = link
+            adjacent[link.a].add(link.b)
+            adjacent[link.b].add(link.a)
             if link.distance_km is not None and not link.distance_km > 0:
                 raise TopologyError(
                     f"link {link.a}-{link.b} distance must be > 0, got {link.distance_km}"
                 )
         if len(self.nodes) > 1:
-            isolated = sorted(id_set - linked)
+            isolated = sorted(node_id for node_id, nbrs in adjacent.items() if not nbrs)
             if isolated:
                 raise TopologyError(f"isolated nodes: {', '.join(isolated)}")
+        # Lookup maps, built once.  They are not dataclass fields, so
+        # equality, hashing and repr still see only name, nodes and links.
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_by_pair", by_pair)
+        object.__setattr__(self, "_neighbors", {
+            node_id: tuple(sorted(nbrs)) for node_id, nbrs in adjacent.items()})
 
     @property
     def node_ids(self) -> tuple[str, ...]:
         return tuple(sorted(n.id for n in self.nodes))
 
     def node(self, node_id: str) -> Node:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise TopologyError(f"unknown node {node_id!r}")
+        try:
+            return self._by_id[node_id]
+        except KeyError:
+            raise TopologyError(f"unknown node {node_id!r}") from None
 
     def neighbors(self, node_id: str) -> tuple[str, ...]:
-        self.node(node_id)
-        out = set()
-        for link in self.links:
-            if link.a == node_id:
-                out.add(link.b)
-            elif link.b == node_id:
-                out.add(link.a)
-        return tuple(sorted(out))
+        try:
+            return self._neighbors[node_id]
+        except KeyError:
+            raise TopologyError(f"unknown node {node_id!r}") from None
 
 
 def _require_keys(obj: dict, allowed: set[str], required: Iterable[str], what: str) -> None:
@@ -209,17 +211,17 @@ def link_distance(topology: PhysicalTopology, a: str, b: str) -> float:
     An explicitly stored distance wins; otherwise the Euclidean distance
     between node coordinates is used.
     """
-    for link in topology.links:
-        if {link.a, link.b} == {a, b}:
-            if link.distance_km is not None:
-                return link.distance_km
-            na, nb = topology.node(a), topology.node(b)
-            if None in (na.x_km, na.y_km, nb.x_km, nb.y_km):
-                raise TopologyError(
-                    f"link {a}-{b} has no distance and endpoint coordinates are incomplete"
-                )
-            return math.hypot(na.x_km - nb.x_km, na.y_km - nb.y_km)
-    raise TopologyError(f"no link between {a!r} and {b!r}")
+    link = topology._by_pair.get(frozenset((a, b)))
+    if link is None:
+        raise TopologyError(f"no link between {a!r} and {b!r}")
+    if link.distance_km is not None:
+        return link.distance_km
+    na, nb = topology.node(a), topology.node(b)
+    if None in (na.x_km, na.y_km, nb.x_km, nb.y_km):
+        raise TopologyError(
+            f"link {a}-{b} has no distance and endpoint coordinates are incomplete"
+        )
+    return math.hypot(na.x_km - nb.x_km, na.y_km - nb.y_km)
 
 
 def transmittance(loss_db: float) -> float:

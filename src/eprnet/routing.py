@@ -13,12 +13,18 @@ the two zero-weight memory edges, so the terminal adds no vertex to any
 other shortest path: the distances and the shortest-path tree are the
 same for every pair (Suurballe & Tarjan, Networks 14, 1984, share one
 tree across destinations the same way).  The terminal's own first-pass
-predecessor is the pair's memory that Dijkstra pops first.  So the loss
-graph is compiled into integer arrays once, the first pass and every
-edge's reduced cost are computed once per placement, and each pair runs
-only the second pass.  The terminal is never materialized: the second
-pass reaches it only through the other memory, so it stops when that
-memory is popped.
+predecessor is the pair's memory that Dijkstra pops first, so the first
+path, and with it the residual graph of the second pass, depend only on
+that memory.  Weights are non-negative and relaxation needs a strictly
+shorter distance, so a popped vertex's predecessor never changes
+afterwards: one second pass run to exhaustion from a first memory gives
+each of its pairs the predecessor chain a pass stopped at the pair's
+other memory would find, and an other memory it never pops means no
+second path exists.  So the loss graph is compiled into integer arrays
+once, the first pass and every edge's reduced cost are computed once per
+placement, and one second pass runs per memory that pops before another,
+not one per pair.  The terminal is never materialized: the second pass
+reaches it only through the other memory.
 
 Tie rules, which fix the routes exactly and not just their losses:
 
@@ -72,12 +78,13 @@ class RouteTable:
     infeasible: tuple[tuple[str, str], ...]
 
 
-def _dijkstra(adjacency: Sequence[Sequence[_Arc]], start: int, stop: int = -1
+def _dijkstra(adjacency: Sequence[Sequence[_Arc]], start: int
               ) -> tuple[list[float], list[int], list[int]]:
     """Distances, predecessor markers and pop order from ``start``.
 
-    Stops right after popping ``stop``; by then the predecessor chain of
-    every popped vertex is final.
+    The pass runs until the heap is empty, so exactly the vertices with a
+    finite distance are popped.  Weights must be non-negative; then a
+    popped vertex's predecessor chain is final the moment it is popped.
     """
     n = len(adjacency)
     dist = [math.inf] * n
@@ -93,8 +100,6 @@ def _dijkstra(adjacency: Sequence[Sequence[_Arc]], start: int, stop: int = -1
             continue
         done[u] = True
         order.append(u)
-        if u == stop:
-            break
         for marker, head, weight in adjacency[u]:
             nd = d + weight
             if nd < dist[head]:
@@ -111,7 +116,9 @@ class _Placement:
     Vertices are numbered by their position in ``graph.vertices`` and edges
     keep their ids.  ``route(end_a, end_b)`` answers one terminal query: the
     terminal has a zero-weight in-edge from ``end_a`` (id m) and one from
-    ``end_b`` (id m+1), where m is the number of real edges.
+    ``end_b`` (id m+1), where m is the number of real edges.  Each first
+    memory's second pass runs once; its paths, not its per-vertex arrays,
+    are kept for as long as the placement lives.
     """
 
     def __init__(self, graph: RoutingGraph) -> None:
@@ -145,6 +152,8 @@ class _Placement:
         self.index, self.tails, self.heads, self.src = index, tails, heads, src
         self.edge_count = len(tails)
         self.pred, self.rank, self.reduced = pred, rank, reduced
+        self.memories = [pos for v, pos in index.items() if v[0] == "mem"]
+        self.second_passes: dict[int, tuple[list[int], dict[int, list[int]]]] = {}
 
     def _backtrack(self, pred: Sequence[int], end: int) -> list[int]:
         path: list[int] = []
@@ -156,6 +165,24 @@ class _Placement:
         path.reverse()
         return path
 
+    def _second_pass(self, end: int) -> tuple[list[int], dict[int, list[int]]]:
+        """The first path to memory ``end``, and the second path to each
+        memory that pops after it, from one pass on the residual graph."""
+        cached = self.second_passes.get(end)
+        if cached is None:
+            first = self._backtrack(self.pred, end)
+            # Drop first-path edges, append their reversals.
+            adjacency = self.reduced.copy()
+            for eid in first:
+                tail, head = self.tails[eid], self.heads[eid]
+                adjacency[tail] = [arc for arc in adjacency[tail] if arc[0] != eid]
+                adjacency[head] = adjacency[head] + [(~eid, tail, 0.0)]
+            dist2, pred2, _ = _dijkstra(adjacency, self.src)
+            cached = self.second_passes[end] = (first, {
+                other: self._backtrack(pred2, other) for other in self.memories
+                if self.rank[other] > self.rank[end] and dist2[other] < math.inf})
+        return cached
+
     def route(self, end_a: int, end_b: int
               ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
         """Disjoint paths ending at ``end_a`` and ``end_b``, or None."""
@@ -163,19 +190,10 @@ class _Placement:
         if max(self.rank[end_a], self.rank[end_b]) == len(self.rank):
             return None  # a terminal edge's tail is unreachable
         k_first = 0 if self.rank[end_a] <= self.rank[end_b] else 1
-        first = self._backtrack(self.pred, ends[k_first])
-
-        # Second pass: drop first-path edges, append their reversals.
-        adjacency = self.reduced.copy()
-        for eid in first:
-            tail, head = self.tails[eid], self.heads[eid]
-            adjacency[tail] = [arc for arc in adjacency[tail] if arc[0] != eid]
-            adjacency[head] = adjacency[head] + [(~eid, tail, 0.0)]
-        k_other = 1 - k_first
-        _, pred2, order2 = _dijkstra(adjacency, self.src, stop=ends[k_other])
-        if order2[-1] != ends[k_other]:
+        first, seconds = self._second_pass(ends[k_first])
+        second = seconds.get(ends[1 - k_first])
+        if second is None:
             return None
-        second = self._backtrack(pred2, ends[k_other])
 
         # Cancel first-path edges traversed backwards, keep the rest, then
         # split the union into two walks to the terminal, always taking

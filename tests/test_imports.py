@@ -26,7 +26,7 @@ def test_runtime_imports_need_only_numpy():
 
 def test_public_api_is_pinned():
     # Adding or removing a public name is a deliberate edit of this list.
-    # The submodules appear too: ``__all__`` is built from ``dir()``.
+    # ``__all__`` is written out, so the submodules are not exported.
     assert sorted(eprnet.__all__) == [
         "ALL_STRATEGIES", "Allocation", "AllocationError", "AllocationInstance",
         "ChannelGrid", "ConfigError", "ExactResult", "ExperimentConfig",
@@ -34,16 +34,16 @@ def test_public_api_is_pinned():
         "Node", "PhysicalTopology", "RateVector", "RoutePlan", "RouteTable",
         "RoutingError", "RoutingGraph", "SPEED_OF_LIGHT_NM_THZ",
         "SpectrumProfile", "SweepRow", "TopologyError", "all_pair_routes",
-        "allocate_once", "allocation", "bezakova_matching",
+        "allocate_once", "bezakova_matching",
         "build_routing_graph", "bundled_topology", "channel_bandwidth",
         "channel_center_frequency", "channel_center_wavelength",
         "channels_by_pair", "config_from_json", "derive_seed", "emit_csv",
         "emit_plot", "exact_maxmin", "first_fit", "fractional_optimum",
-        "gen_vertex", "generation_rates", "harness", "in_port", "jain_index",
-        "link_distance", "load_topology", "lp_round", "mem_vertex", "metrics",
-        "modified_lpt", "netgraph", "normalization_reference",
+        "gen_vertex", "generation_rates", "in_port", "jain_index",
+        "link_distance", "load_topology", "lp_round", "mem_vertex",
+        "modified_lpt", "normalization_reference",
         "normalized_min_rate", "out_port", "random_balanced", "read_csv_rows",
-        "received_rates", "round_robin", "route_nodes", "routing",
-        "run_placement_sweep", "spectrum", "splitmix64", "topology_from_dict",
+        "received_rates", "round_robin", "route_nodes",
+        "run_placement_sweep", "splitmix64", "topology_from_dict",
         "transmittance",
     ]

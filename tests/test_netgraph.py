@@ -380,3 +380,13 @@ class TestTopologyValidation:
 
     def test_neighbors_sorted(self, star3):
         assert star3.neighbors("s") == ("a", "b")
+
+    def test_lookup_maps_stay_out_of_equality_hash_and_repr(self):
+        nodes = (Node("a", 0.0, 0.0), Node("b", 3.0, 4.0))
+        links = (Link("a", "b"),)
+        one = PhysicalTopology("ab", nodes, links)
+        two = PhysicalTopology("ab", nodes, links)
+        assert one == two and hash(one) == hash(two)
+        assert repr(one) == (
+            f"PhysicalTopology(name='ab', nodes={nodes!r}, links={links!r})")
+        assert link_distance(one, "b", "a") == 5.0

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import eprnet.routing
 from eprnet import (
     GraphEdge,
     Link,
@@ -312,6 +313,72 @@ class TestRouteIdentity:
         graph = build_routing_graph(bundled_topology("ilec17"), source,
                                     default_loss)
         assert all_pair_routes(graph) == reference_route_table(graph)
+
+    @pytest.mark.parametrize("name", ["simple6", "ilec17"])
+    def test_all_zero_weights(self, name):
+        # Every route is lossless, so every edge-disjoint pair ties and
+        # only the tie rules pick one: the heaviest tie case a second pass
+        # shared by all pairs of one first memory meets.
+        topology = bundled_topology(name)
+        for source in topology.node_ids:
+            graph = build_routing_graph(topology, source, LossParams(0.0, 0.0))
+            assert all_pair_routes(graph) == reference_route_table(graph)
+
+
+def _route_counting_passes(monkeypatch, graph):
+    """``all_pair_routes(graph)``, the number of Dijkstra runs it made, and
+    the first memory of each second pass.  That memory is the one vertex
+    of ``mem`` kind with a reversed first-path arc out of it, provided no
+    memory has real out-edges."""
+    adjacencies = []
+    dijkstra = eprnet.routing._dijkstra
+
+    def counting(adjacency, start):
+        adjacencies.append(adjacency)
+        return dijkstra(adjacency, start)
+
+    monkeypatch.setattr(eprnet.routing, "_dijkstra", counting)
+    table = all_pair_routes(graph)
+    firsts = [graph.vertices[v] for adjacency in adjacencies
+              for v, arcs in enumerate(adjacency)
+              if graph.vertices[v][0] == "mem"
+              and any(marker < 0 for marker, _, _ in arcs)]
+    return table, len(adjacencies), firsts
+
+
+class TestSecondPassPerFirstMemory:
+    """One first pass per placement, then one second pass per memory that
+    pops before another, shared by all of that memory's pairs."""
+
+    @pytest.mark.parametrize("source", bundled_topology("ilec17").node_ids)
+    def test_ilec17_runs_one_pass_per_memory(self, source, default_loss,
+                                             monkeypatch):
+        graph = build_routing_graph(bundled_topology("ilec17"), source,
+                                    default_loss)
+        table, runs, firsts = _route_counting_passes(monkeypatch, graph)
+        assert table.infeasible == ()
+        assert runs == 17
+        assert len(set(firsts)) == len(firsts) == 16
+
+    @pytest.mark.parametrize("block", range(2))
+    def test_at_most_one_second_pass_per_memory(self, block, monkeypatch):
+        for graph in _tie_heavy_graphs(block):
+            memories = sum(v[0] == "mem" for v in graph.vertices)
+            _, runs, firsts = _route_counting_passes(monkeypatch, graph)
+            assert runs == 1 + len(firsts) <= memories
+            assert len(set(firsts)) == len(firsts)
+
+    def test_unreachable_memory_runs_no_second_pass(self, monkeypatch):
+        # mem(c) has no in-edge.  mem(a) pops before mem(b), so the one
+        # second pass is a's; b, the last to pop, would need one only if
+        # the pair (b, c) were routed.
+        v, c = ("v",), mem_vertex("c")
+        graph = _graph([(GEN, v, 1.0), (GEN, v, 2.0), (v, A, 0.0),
+                        (v, B, 0.0)], extra=(A, B, c))
+        table, runs, firsts = _route_counting_passes(monkeypatch, graph)
+        assert set(table.plans) == {("a", "b")}
+        assert table.infeasible == (("a", "c"), ("b", "c"))
+        assert (runs, firsts) == (2, [A])
 
 
 def _u_turns(graph, table) -> list[int]:
