@@ -19,6 +19,8 @@ Channel and pair indices are 0-based throughout.  Received rates are
 always computed the same way (per pair, the exactly rounded sum of its
 channel rates, ``math.fsum``, times its transmittance), so independently
 produced allocations with the same assignment compare bit-for-bit equal.
+``received_rates`` validates an assignment from outside the module; each
+strategy's own assignment is turned into rates once, without a re-check.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import heapq
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -95,23 +97,18 @@ def received_rates(instance: AllocationInstance,
 
     Raises:
         AllocationError: if the assignment's length is not the channel
-            count, or an entry is not a pair index in 0..k-1.
+            count, or an entry is not a pair index in 0..k-1 (the
+            message names the first such channel).
     """
     k, m = instance.pair_count, instance.channel_count
     dense = list(assignment)
     if len(dense) != m:
         raise AllocationError(f"assignment length {len(dense)} != channel count {m}")
-    # Plain ints in range pass in C; anything else is checked one by one,
-    # so the error names the first offending channel.
-    if not (set(map(type, dense)) == {int} and min(dense) >= 0 and max(dense) < k):
-        for x, p in enumerate(dense):
-            if (not isinstance(p, (int, np.integer)) or isinstance(p, bool)
-                    or not 0 <= p < k):
-                raise AllocationError(f"channel {x} assigned to invalid pair {p!r}")
-    owned: list[list[float]] = [[] for _ in range(k)]
-    for p, rate in zip(dense, instance.rates.rates):
-        owned[p].append(rate)
-    return tuple(instance.etas[p] * math.fsum(owned[p]) for p in range(k))
+    for x, p in enumerate(dense):
+        if (not isinstance(p, (int, np.integer)) or isinstance(p, bool)
+                or not 0 <= p < k):
+            raise AllocationError(f"channel {x} assigned to invalid pair {p!r}")
+    return _finish(instance, dense).received
 
 
 def channels_by_pair(assignment: Sequence[int], pair_count: int) -> tuple[tuple[int, ...], ...]:
@@ -122,9 +119,16 @@ def channels_by_pair(assignment: Sequence[int], pair_count: int) -> tuple[tuple[
     return tuple(tuple(g) for g in groups)
 
 
+def _pair_rates(etas: Sequence[float], owned: list[list[float]]) -> Iterator[float]:
+    return map(operator.mul, etas, map(math.fsum, owned))
+
+
 def _finish(instance: AllocationInstance, assignment: Sequence[int]) -> Allocation:
-    dense = tuple(map(int, assignment))
-    return Allocation(dense, received_rates(instance, dense))
+    """Allocation of a strategy's own assignment, trusted to be total and in range."""
+    owned: list[list[float]] = [[] for _ in range(instance.pair_count)]
+    for p, rate in zip(assignment, instance.rates.rates):
+        owned[p].append(rate)
+    return Allocation(tuple(assignment), tuple(_pair_rates(instance.etas, owned)))
 
 
 def _validated_order(order: Sequence[int] | None, k: int) -> list[int]:
@@ -147,11 +151,16 @@ def fractional_optimum(instance: AllocationInstance) -> float:
     return instance.rates.total / math.fsum(1.0 / eta for eta in instance.etas)
 
 
+# The exact search's default node budget, for library calls, sweeps and
+# the CLI alike.
+_NODE_BUDGET = 2_000_000
+
+
 def exact_maxmin(
     instance: AllocationInstance,
     *,
     pair_order: Sequence[int] | None = None,
-    node_budget: int = 1_000_000,
+    node_budget: int = _NODE_BUDGET,
 ) -> ExactResult:
     """Provably optimal max-min allocation by branch and bound.
 
@@ -248,7 +257,7 @@ def exact_maxmin(
             break
         expand = False
         if t == m:
-            value = min(etas[p] * math.fsum(owned[p]) for p in range(k))
+            value = min(_pair_rates(etas, owned))
             if value > best_value:
                 best_value = value
                 best_assign = assign.copy()

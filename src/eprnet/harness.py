@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .allocation import (
+    _NODE_BUDGET,
     Allocation,
     AllocationInstance,
     ExactResult,
@@ -119,7 +120,7 @@ class ExperimentConfig:
     peak_rate: float = 1.0
     fiber_loss_db_per_km: float = 0.4
     exact_max_mk: int = 512
-    exact_node_budget: int = 2_000_000
+    exact_node_budget: int = _NODE_BUDGET
     output_path: str | None = None
 
     def __post_init__(self) -> None:

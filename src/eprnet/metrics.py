@@ -11,6 +11,7 @@ sources.
 from __future__ import annotations
 
 import logging
+import math
 from functools import reduce
 from operator import add
 from typing import Mapping, Sequence
@@ -36,8 +37,8 @@ def jain_index(received: Sequence[float]) -> float:
     if not values:
         raise MetricsError("jain_index needs at least one rate")
     for v in values:
-        if not (v >= 0):
-            raise MetricsError(f"rates must be >= 0, got {v}")
+        if not (0 <= v < math.inf):  # also rejects NaN
+            raise MetricsError(f"rates must be finite and >= 0, got {v}")
     peak = max(values)
     if 0.0 < peak < 1e-150 or peak * len(values) > 1e150:
         # The squares would fall into the subnormal range and lose their
@@ -101,6 +102,8 @@ def normalization_reference(
 
 def normalized_min_rate(min_rate: float, reference: float) -> float:
     """Scale a minimum received rate by the topology reference."""
-    if reference <= 0:
-        raise MetricsError(f"reference must be > 0, got {reference}")
+    if not (0 < reference < math.inf):  # also rejects NaN
+        raise MetricsError(f"reference must be finite and > 0, got {reference}")
+    if not math.isfinite(min_rate):
+        raise MetricsError(f"min_rate must be finite, got {min_rate}")
     return min_rate / reference

@@ -226,8 +226,8 @@ def link_distance(topology: PhysicalTopology, a: str, b: str) -> float:
 
 def transmittance(loss_db: float) -> float:
     """Convert a loss in dB to a power/probability transmittance."""
-    if loss_db < 0:
-        raise ValueError(f"loss must be >= 0 dB, got {loss_db}")
+    if not (0 <= loss_db < math.inf):  # also rejects NaN
+        raise ValueError(f"loss must be finite and >= 0 dB, got {loss_db}")
     return 10.0 ** (-loss_db / 10.0)
 
 

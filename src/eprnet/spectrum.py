@@ -44,6 +44,9 @@ class ChannelGrid:
     center_wavelength_nm: float = 1550.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.channel_count, int) or isinstance(self.channel_count, bool):
+            raise ValueError(
+                f"channel_count must be an int, got {self.channel_count!r}")
         if self.channel_count < 1:
             raise ValueError(f"channel_count must be >= 1, got {self.channel_count}")
         _check_positive("channel_width_nm", self.channel_width_nm)

@@ -18,6 +18,7 @@ from eprnet import (
     LossParams,
     RateVector,
     all_pair_routes,
+    allocate_once,
     bezakova_matching,
     build_routing_graph,
     channels_by_pair,
@@ -661,3 +662,37 @@ class TestCrossStrategyInvariants:
         rng = random.Random(60)
         inst = random_instance(rng, max_m=8, min_m=4)
         assert func(inst).assignment == func(inst).assignment
+
+
+class TestStrategiesBuildPartitions:
+    """Each strategy's Allocation is a total assignment with its own rates.
+
+    The strategies' assignments are not validated at run time, and a
+    channel left at -1 would silently land on the last pair, so these
+    runs check every strategy's results instead.
+    """
+
+    @pytest.mark.parametrize("topology", ["simple6", "ilec17"])
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_bundled_placements(self, topology, strategy):
+        for case, inst in enumerate(bundled_instances(topology)):
+            allocation, _ = allocate_once(inst, strategy, seed=case, node_budget=500)
+            assert_partition(inst, allocation)
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_tie_prone_instances(self, strategy):
+        rng = random.Random(4400)  # chunk 0 of the first-fit corpus
+        for case in range(100):
+            inst = tie_prone_instance(rng)
+            allocation, _ = allocate_once(inst, strategy, seed=case, node_budget=500)
+            assert_partition(inst, allocation)
+
+    def test_no_strategy_calls_received_rates(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("a strategy re-validated its own assignment")
+
+        monkeypatch.setattr("eprnet.allocation.received_rates", refuse)
+        small = make_instance([0.5, 0.25, 1.0], [1.0, 2.0, 3.0, 0.5, 0.1])
+        for inst in (small, bundled_instances("simple6")[0]):
+            for strategy in ALL_STRATEGIES:
+                allocate_once(inst, strategy, seed=1, node_budget=500)

@@ -74,6 +74,12 @@ class TestJainIndex:
         with pytest.raises(MetricsError):
             jain_index([1.0, -0.1])
 
+    @pytest.mark.parametrize("xs", [[math.inf, 1.0], [math.inf], [1.0, math.nan]])
+    def test_non_finite_rejected(self, xs):
+        # An infinite rate would make the index inf/inf, a silent nan.
+        with pytest.raises(MetricsError, match="finite"):
+            jain_index(xs)
+
     @given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=20))
     @settings(max_examples=150, deadline=None)
     def test_bounds_and_reference_formula(self, xs):
@@ -200,6 +206,14 @@ class TestNormalizedMinRate:
     def test_nonpositive_reference_rejected(self, reference):
         with pytest.raises(MetricsError):
             normalized_min_rate(1.0, reference)
+
+    @pytest.mark.parametrize("min_rate, reference", [
+        (1.0, math.nan), (1.0, math.inf), (math.nan, 1.0), (math.inf, 1.0),
+        (-math.inf, 1.0),
+    ])
+    def test_non_finite_rejected(self, min_rate, reference):
+        with pytest.raises(MetricsError, match="finite"):
+            normalized_min_rate(min_rate, reference)
 
     def test_can_exceed_one_on_simple6(self, default_loss):
         # The reference minimizes over placements; a well-placed source

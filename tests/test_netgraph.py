@@ -155,6 +155,11 @@ class TestTransmittance:
         with pytest.raises(ValueError):
             transmittance(-0.1)
 
+    @pytest.mark.parametrize("loss", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, loss):
+        with pytest.raises(ValueError, match="finite"):
+            transmittance(loss)
+
 
 class TestLinkDistance:
     def test_euclidean_fallback(self):

@@ -167,6 +167,13 @@ class TestValidation:
         with pytest.raises(ValueError, match=field):
             ChannelGrid(**{field: value})
 
+    @pytest.mark.parametrize("count", [2.5, 8.0, True, "8"])
+    def test_grid_rejects_non_int_channel_count(self, count):
+        # Unchecked, 2.5 fails later in generation_rates and True makes a
+        # 1-channel grid.
+        with pytest.raises(ValueError, match="channel_count must be an int"):
+            ChannelGrid(channel_count=count)
+
     def test_grid_rejects_channel_at_or_below_zero_nm(self):
         # Channel 1 sits at 775 - 775 nm; its frequency would divide by 0.
         with pytest.raises(ValueError, match="channel 1"):
