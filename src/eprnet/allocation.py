@@ -204,8 +204,10 @@ def exact_maxmin(
         With fewer channels than pairs every assignment leaves a pair at
         rate 0, so the heuristic seed is returned as optimal at the root.
     """
-    if node_budget < 1:
-        raise AllocationError(f"node_budget must be >= 1, got {node_budget}")
+    if (not isinstance(node_budget, int) or isinstance(node_budget, bool)
+            or node_budget < 1):
+        raise AllocationError(
+            f"node_budget must be an int >= 1, got {node_budget!r}")
     k, m = instance.pair_count, instance.channel_count
     # Pairs in tie-break order: a stable sort of this list by received
     # rate orders children by (rate, position in pair_order).
@@ -320,66 +322,74 @@ def first_fit(
     monotone in T, so the largest feasible T in [0, fractional optimum]
     is found by bisection to 1e-9 relative resolution.
 
-    A pass does not walk the channels one by one.  The block of pair p
-    starts at channel s and ends at channel s + j for the first j with
-    eta_p * S_s[j] >= T, where S_s (row s of ``RateVector.running_sums``)
-    holds n[s], n[s] + n[s+1], ... added left to right: the very masses
-    the channel walk accumulates, bit for bit.  S_s never decreases, and
-    neither does a correctly rounded product with eta_p, so that test is
-    monotone in j: bisecting S_s on T / eta_p lands next to the first
-    such j, and a step or two under the walk's own test settles what
-    rounding left open.  Each pass therefore decides exactly as the walk
-    would, at a cost per pair rather than per channel.
+    Within a block the rate never decreases, and a block starting later
+    holds at most the mass of one starting earlier at every channel, so
+    each pass also settles later probes without walking again.  A
+    feasible pass at T whose least reached block rate is R makes the same
+    blocks at every target in [T, R].  An infeasible pass whose largest
+    short rate is S (over the rates just before each block's last channel
+    and the failing pair's final rate) fails at every target above S.
     """
     k, m = instance.pair_count, instance.channel_count
     order = _validated_order(pair_order, k)
     n = instance.rates.rates
-    sums = instance.rates.running_sums
     pair_etas = [instance.etas[p] for p in order]
-    bisect_left = bisect.bisect_left
 
-    def run_pass(target: float) -> tuple[list[int], bool]:
-        # Last channel of each block, in pair order, and whether every
-        # pair reached the target.  A pair that cannot reach it takes the
-        # rest of the channels; pairs after it get none.
+    def run_pass(target: float) -> tuple[list[int], bool, float]:
+        # Last channel of each block, in pair order; whether every pair
+        # reached the target; and R if so, else S.  A pair that cannot
+        # reach the target takes the rest of the channels; pairs after it
+        # get none.
         ends = []
-        s = 0
+        reached = math.inf
+        short = 0.0
+        x = 0
         for eta in pair_etas:
-            if s == m:
-                return ends, False
-            j = 0  # with many pairs (ilec17) most blocks are one channel
-            if eta * n[s] < target:
-                row = sums[s]
-                j = bisect_left(row, target / eta, 1)
-                while j > 1 and eta * row[j - 1] >= target:
-                    j -= 1
-                last = len(row)
-                while j < last and eta * row[j] < target:
-                    j += 1
-                if j == last:
+            if x == m:
+                return ends, False, short
+            mass = n[x]
+            rate = eta * mass
+            if rate < target:
+                for x in range(x + 1, m):
+                    before = rate
+                    mass += n[x]
+                    rate = eta * mass
+                    if rate >= target:
+                        break
+                else:
                     ends.append(m - 1)
-                    return ends, False
-            ends.append(s + j)
-            s += j + 1
-        return ends, True
+                    return ends, False, rate if rate > short else short
+                if before > short:
+                    short = before
+            if rate < reached:
+                reached = rate
+            ends.append(x)
+            x += 1
+        return ends, True, reached
 
+    ends, feasible, reached = run_pass(0.0)
     tf = fractional_optimum(instance)
-    target = 0.0
-    if tf > 0 and run_pass(0.0)[1]:
-        if run_pass(tf)[1]:
-            target = tf
+    if tf > 0 and feasible:
+        top, feasible, short = run_pass(tf)
+        if feasible:
+            ends = top
         else:
             lo, hi = 0.0, tf
             tol = 1e-9 * tf
             while hi - lo > tol:
                 mid = (lo + hi) / 2.0
-                if run_pass(mid)[1]:
+                if mid <= reached:
                     lo = mid
-                else:
+                elif mid > short:
                     hi = mid
-            target = lo
-    # Channels left over after the last pair's block stay on it.
-    ends, _ = run_pass(target)
+                else:
+                    probe, feasible, bound = run_pass(mid)
+                    if feasible:
+                        ends, lo, reached = probe, mid, bound
+                    else:
+                        hi, short = mid, bound
+    # The blocks of the last feasible pass are the blocks at lo.  Channels
+    # left over after the last pair's block stay on it.
     ends[-1] = m - 1
     assign: list[int] = []
     s = 0
@@ -409,6 +419,9 @@ def random_balanced(instance: AllocationInstance, rng_seed: int) -> Allocation:
     """
     if rng_seed is None:
         raise AllocationError("the random strategy requires a seed")
+    if rng_seed < 0:
+        raise AllocationError(
+            f"the random strategy's seed must be >= 0, got {rng_seed}")
     k, m = instance.pair_count, instance.channel_count
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     perm = rng.permutation(m)

@@ -96,6 +96,8 @@ def splitmix64(value: int) -> int:
 
 def derive_seed(master: int, *indices: int) -> int:
     """Fold sweep coordinates into an independent 64-bit run seed."""
+    if master < 0:
+        raise ConfigError(f"master seed must be >= 0, got {master}")
     seed = master & _MASK64
     for index in indices:
         seed = splitmix64(seed ^ (index & _MASK64))
@@ -353,6 +355,8 @@ def allocate_once(instance: AllocationInstance, strategy: str, *,
     """
     if strategy not in _STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
+    if seed is not None and not 0 <= seed <= _MASK64:
+        raise ConfigError(f"seed must be in 0..2**64 - 1, got {seed}")
     result = _STRATEGIES[strategy][0](instance, seed, node_budget)
     if isinstance(result, ExactResult):
         return result.allocation, result.optimal

@@ -10,18 +10,12 @@ emission profile at each channel center.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import accumulate
 from operator import add
 
 SPEED_OF_LIGHT_NM_THZ = 299792.458
 """Speed of light expressed in nm*THz, so wavelength math stays in nm."""
-
-_ROW_BUDGET = 1 << 20
-"""Most running-sum entries a RateVector keeps (8 MB): every row of a
-200-channel grid takes 20,100, but all rows of m channels take m(m+1)/2."""
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -83,10 +77,9 @@ class SpectrumProfile:
 class RateVector:
     """Per-channel generation rates, one entry per grid channel.
 
-    The channel order and the running sums that the allocation strategies
-    read are built on first use and kept (the running sums within a
-    budget): they depend only on the rates, so every instance sharing
-    this vector shares them.
+    The descending channel order that the allocation strategies read is
+    built on first use and kept: it depends only on the rates, so every
+    instance sharing this vector shares it.
     """
 
     rates: tuple[float, ...]
@@ -120,44 +113,10 @@ class RateVector:
         n = self.rates
         return tuple(sorted(range(len(n)), key=lambda x: (-n[x], x)))
 
-    @cached_property
-    def running_sums(self) -> _RunningSums:
-        """Start index -> ``n[start]``, ``n[start] + n[start+1]``, ...
-
-        Entry j of row ``start`` is the rate mass of channels
-        start..start+j, summed left to right and rounded exactly as a walk
-        adding them one by one rounds it, so it never decreases in j.
-        Each row is built on its first lookup and kept while the kept
-        rows fit in ``_ROW_BUDGET`` entries.
-        """
-        return _RunningSums(self.rates)
-
-
-class _RunningSums(dict):
-    """Rows of left-to-right running sums, filled in as they are looked up.
-
-    A row that would take the kept entries past ``_ROW_BUDGET`` first
-    drops every kept row, so a very wide grid rebuilds rows instead of
-    holding all of them.
-    """
-
-    def __init__(self, rates: tuple[float, ...]) -> None:
-        super().__init__()
-        self._rates = rates
-        self._entries = 0
-
-    def __missing__(self, start: int) -> array:
-        row = array("d", accumulate(self._rates[start:]))
-        if self._entries + len(row) > _ROW_BUDGET:
-            self.clear()
-            self._entries = 0
-        self._entries += len(row)
-        self[start] = row
-        return row
-
 
 def _check_index(grid: ChannelGrid, x: int) -> None:
-    if not 1 <= x <= grid.channel_count:
+    if (not isinstance(x, int) or isinstance(x, bool)
+            or not 1 <= x <= grid.channel_count):
         raise IndexError(
             f"channel index {x} outside 1..{grid.channel_count}"
         )

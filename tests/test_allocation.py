@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eprnet import spectrum
 from eprnet import (
     ALL_STRATEGIES,
     AllocationError,
@@ -118,6 +117,32 @@ def bundled_instances(name: str) -> tuple[AllocationInstance, ...]:
                 found.append(AllocationInstance(
                     tuple(table.plans[p].eta for p in sorted(table.plans)), rates))
     return tuple(found)
+
+
+def channel_walk(inst, order, target):
+    """The first-fit pass at ``target``, one channel at a time.
+
+    Returns the owner of each channel, whether every pair reached the
+    target, the least rate at which a pair reached it, and the largest
+    rate a pair held while short of it (0.0 if none was).
+    """
+    k = inst.pair_count
+    mass = [0.0] * k
+    assign = []
+    reached, short = math.inf, 0.0
+    cursor = 0
+    for rate in inst.rates:
+        p = order[cursor] if cursor < k else order[k - 1]
+        assign.append(p)
+        mass[p] += rate
+        if cursor < k:
+            received = inst.etas[p] * mass[p]
+            if received >= target:
+                reached = min(reached, received)
+                cursor += 1
+            else:
+                short = max(short, received)
+    return assign, cursor >= k, reached, short
 
 
 @st.composite
@@ -341,8 +366,9 @@ class TestExactMaxmin:
         with pytest.raises(AllocationError):
             exact_maxmin(inst, pair_order=[0, 0])
 
-    @pytest.mark.parametrize("budget", [0, -1])
+    @pytest.mark.parametrize("budget", [0, -1, math.nan, 2.5, True])
     def test_node_budget_below_one_rejected(self, budget):
+        # A NaN budget would never stop the search; True would pass as 1.
         inst = make_instance([1.0, 1.0], [1.0, 1.0])
         with pytest.raises(AllocationError, match="node_budget"):
             exact_maxmin(inst, node_budget=budget)
@@ -386,28 +412,43 @@ class TestFirstFit:
         # them, so feasibility can flip from True to False just once.
         rng = random.Random(8800 + case)
         inst = random_instance(rng, min_m=2)
-        k, m = inst.pair_count, inst.channel_count
-        order = list(range(k))
+        order = list(range(inst.pair_count))
         rng.shuffle(order)
-
-        def feasible(target: float) -> bool:
-            mass = [0.0] * k
-            cursor = 0
-            for x in range(m):
-                p = order[cursor] if cursor < k else order[k - 1]
-                mass[p] += inst.rates[x]
-                if cursor < k and inst.etas[p] * mass[p] >= target:
-                    cursor += 1
-            return cursor >= k
-
         tf = fractional_optimum(inst)
-        flags = [feasible(t * tf / 40) for t in range(41)]
+        flags = [channel_walk(inst, order, t * tf / 40)[1] for t in range(41)]
         assert flags == sorted(flags, reverse=True)
+
+    @given(st.one_of(instances(max_k=6, max_m=12),
+                     st.randoms(use_true_random=False).map(tie_prone_instance)),
+           st.randoms(use_true_random=False), st.floats(0.0, 1.25),
+           st.floats(0.0, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_each_pass_settles_later_probes(self, inst, rnd, frac, u):
+        # first_fit skips the probes a pass has settled, so its bisection
+        # is exact only if these two facts hold.  A feasible pass at T
+        # that reached R at the least makes the same blocks at every
+        # target in [T, R]; an infeasible one whose pairs held S at the
+        # most while short fails at every target above S.
+        order = list(range(inst.pair_count))
+        rnd.shuffle(order)
+        target = frac * fractional_optimum(inst)
+        assign, feasible, reached, short = channel_walk(inst, order, target)
+        if feasible:
+            later = (target, min(reached, target + u * (reached - target)),
+                     reached)
+            for t in later:
+                assert channel_walk(inst, order, t)[:2] == (assign, True)
+        else:
+            later = (math.nextafter(short, math.inf),
+                     short + u * (target - short), target, target * (1 + u))
+            for t in later:
+                if t > short:
+                    assert not channel_walk(inst, order, t)[1]
 
     @pytest.mark.parametrize("chunk", range(4))
     def test_matches_channel_walk_on_tie_prone_instances(self, chunk):
-        # The per-pair probes must decide every bisection step exactly as
-        # the channel-by-channel walk did, so the allocations are equal.
+        # Probes settled by an earlier pass must decide every bisection
+        # step exactly as walking them did, so the allocations are equal.
         rng = random.Random(4400 + chunk)
         for _ in range(100):
             inst = tie_prone_instance(rng)
@@ -416,21 +457,14 @@ class TestFirstFit:
             assert first_fit(inst, order) == reference_first_fit(inst, order)
             assert first_fit(inst) == reference_first_fit(inst)
 
-    def test_matches_channel_walk_when_rows_are_dropped(self, monkeypatch):
-        # With a budget of one entry every row lookup drops the others.
-        monkeypatch.setattr(spectrum, "_ROW_BUDGET", 1)
-        rng = random.Random(4500)
-        for _ in range(50):
-            inst = tie_prone_instance(rng)
-            assert first_fit(inst) == reference_first_fit(inst)
-
     @pytest.mark.parametrize("etas,rates,expected", [
         # Every block reaches T = 2.0 exactly: the fractional optimum.
         ([1.0, 0.5], [1.0, 1.0, 1.0, 1.0, 2.0, 0.0], (0, 0, 1, 1, 1, 1)),
         # The bisection probes T = 0.1 * 1.5 = 0.15000000000000002
         # exactly.  Pair 0 reaches it with channels 0..2 (mass 1.5), but
-        # T / 0.1 rounds up to 1.5000000000000002, so bisecting the
-        # running sums alone would hand it channel 3 too.
+        # T / 0.1 rounds up to 1.5000000000000002, so a walk comparing
+        # masses with T / eta instead of rates with T would hand it
+        # channel 3 too.
         ([0.1, 0.1], [0.1, 0.7, 0.7, 0.2, 1.0, 0.1, 0.3, 0.1],
          (0, 0, 0, 1, 1, 1, 1, 1)),
         ([0.3, 0.9, 0.1], [3.0, 1.0, 3.0, 3.0, 3.0, 1.0, 1.0, 1.0],
@@ -491,6 +525,12 @@ class TestRandomBalanced:
         inst = make_instance([1.0, 1.0], [1.0] * 40)
         with pytest.raises(AllocationError, match="seed"):
             random_balanced(inst, None)
+
+    @pytest.mark.parametrize("seed", [-1, -2 ** 64])
+    def test_negative_seed_rejected(self, seed):
+        inst = make_instance([1.0, 1.0], [1.0] * 4)
+        with pytest.raises(AllocationError, match=f"seed must be >= 0, got {seed}"):
+            random_balanced(inst, seed)
 
     def test_uniform_first_channel(self):
         # m=2, k=2: a uniform shuffle puts channel 0 on pair 0 half the

@@ -174,6 +174,15 @@ class TestAllocate:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "seed" in lines[0]
 
+    @pytest.mark.parametrize("strategy", ["first-fit", "random", "lpt"])
+    def test_negative_seed_is_one_line_error(self, capsys, strategy):
+        code, out, err = run(capsys, "allocate", "--topology", "simple6",
+                             "--source", "A", "--strategy", strategy,
+                             "--seed", "-1")
+        assert_one_line_error(code, err)
+        assert "seed" in err and "-1" in err
+        assert out == ""
+
     def test_random_with_seed(self, capsys):
         code, out, _ = run(capsys, "allocate", "--topology", "simple6",
                            "--source", "A", "--strategy", "random",

@@ -70,6 +70,10 @@ class TestSeeding:
         assert derive_seed(7, 0, 0, 0, 1) != base
         assert derive_seed(8, 0, 0, 0, 0) != base
 
+    def test_derive_seed_rejects_negative_master(self):
+        with pytest.raises(ConfigError, match="master seed must be >= 0, got -1"):
+            derive_seed(-1, 0, 0, 0, 0)
+
 
 # Declared field types, written out independently of the annotations: a
 # type; a one-element list or tuple for a tuple of it; a one-element set for
@@ -530,3 +534,16 @@ class TestAllocateOnce:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ConfigError):
             allocate_once(self.make_instance(), "greedy")
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_seed_outside_64_bits_rejected(self, strategy, seed):
+        # The rule ExperimentConfig applies, for strategies that ignore
+        # the seed too.
+        with pytest.raises(ConfigError, match=f"got {seed}$"):
+            allocate_once(self.make_instance(), strategy, seed=seed)
+
+    def test_seed_at_64_bit_edges_accepted(self):
+        for seed in (0, 2 ** 64 - 1):
+            _, completed = allocate_once(self.make_instance(), "random", seed=seed)
+            assert completed
