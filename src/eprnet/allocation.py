@@ -419,6 +419,9 @@ def random_balanced(instance: AllocationInstance, rng_seed: int) -> Allocation:
     """
     if rng_seed is None:
         raise AllocationError("the random strategy requires a seed")
+    if isinstance(rng_seed, bool) or not isinstance(rng_seed, int):
+        raise AllocationError(
+            f"the random strategy's seed must be an int, got {rng_seed!r}")
     if rng_seed < 0:
         raise AllocationError(
             f"the random strategy's seed must be >= 0, got {rng_seed}")

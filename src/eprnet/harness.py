@@ -96,6 +96,8 @@ def splitmix64(value: int) -> int:
 
 def derive_seed(master: int, *indices: int) -> int:
     """Fold sweep coordinates into an independent 64-bit run seed."""
+    if isinstance(master, bool) or not isinstance(master, int):
+        raise ConfigError(f"master seed must be an int, got {master!r}")
     if master < 0:
         raise ConfigError(f"master seed must be >= 0, got {master}")
     seed = master & _MASK64
@@ -355,6 +357,8 @@ def allocate_once(instance: AllocationInstance, strategy: str, *,
     """
     if strategy not in _STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+        raise ConfigError(f"seed must be an int, got {seed!r}")
     if seed is not None and not 0 <= seed <= _MASK64:
         raise ConfigError(f"seed must be in 0..2**64 - 1, got {seed}")
     result = _STRATEGIES[strategy][0](instance, seed, node_budget)

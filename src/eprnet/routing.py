@@ -20,11 +20,13 @@ shorter distance, so a popped vertex's predecessor never changes
 afterwards: one second pass run to exhaustion from a first memory gives
 each of its pairs the predecessor chain a pass stopped at the pair's
 other memory would find, and an other memory it never pops means no
-second path exists.  So the loss graph is compiled into integer arrays
-once, the first pass and every edge's reduced cost are computed once per
-placement, and one second pass runs per memory that pops before another,
-not one per pair.  The terminal is never materialized: the second pass
-reaches it only through the other memory.
+second path exists.  So ``all_pair_routes`` compiles the loss graph into
+integer arrays and runs the first pass, then walks the memories in
+first-pass pop order: each memory that pops before another gets one
+second pass on its residual graph, and every memory popped after it that
+the pass reaches gets a spliced plan for their pair.  A pair left
+without a plan is infeasible.  The terminal is never materialized: the
+second pass reaches it only through the other memory.
 
 Tie rules, which fix the routes exactly and not just their losses:
 
@@ -33,7 +35,9 @@ Tie rules, which fix the routes exactly and not just their losses:
 * in the second pass, the reversed first-path edge out of a vertex comes
   after its real edges;
 * the splice walks the combined edge set from the generator twice, always
-  taking the smallest edge id out of the current vertex.
+  taking the smallest edge id out of the current vertex, and the
+  terminal's in-edges m and m+1 come from the pair's memories in name
+  order, not pop order.
 
 Infeasibility (no two edge-disjoint paths exist) is reported as a value,
 not an exception, because source-placement sweeps probe many placements
@@ -42,12 +46,14 @@ and must survive the bad ones.
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Sequence
 
-from .netgraph import RoutingGraph, gen_vertex, mem_vertex, transmittance
+from .netgraph import RoutingGraph, gen_vertex, transmittance
 
 # (edge marker, head, weight); a marker is an edge id, or ~eid for the
 # reversal of first-path edge eid.
@@ -110,146 +116,128 @@ def _dijkstra(adjacency: Sequence[Sequence[_Arc]], start: int
     return dist, pred, order
 
 
-class _Placement:
-    """A loss graph compiled to integer arrays, and its first Suurballe pass.
+def _backtrack(pred: Sequence[int], end: int, src: int, tails: Sequence[int],
+               heads: Sequence[int]) -> list[int]:
+    """Edge markers of the predecessor chain from ``src`` to ``end``."""
+    path: list[int] = []
+    node = end
+    while node != src:
+        marker = pred[node]
+        path.append(marker)
+        node = tails[marker] if marker >= 0 else heads[~marker]
+    path.reverse()
+    return path
 
-    Vertices are numbered by their position in ``graph.vertices`` and edges
-    keep their ids.  ``route(end_a, end_b)`` answers one terminal query: the
-    terminal has a zero-weight in-edge from ``end_a`` (id m) and one from
-    ``end_b`` (id m+1), where m is the number of real edges.  Each first
-    memory's second pass runs once; its paths, not its per-vertex arrays,
-    are kept for as long as the placement lives.
+
+def _splice(first: Sequence[int], second: Sequence[int], ends: tuple[int, int],
+            src: int, tails: Sequence[int], heads: Sequence[int]
+            ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Split Suurballe's two paths into disjoint walks to ``ends``.
+
+    Cancel first-path edges traversed backwards, keep the rest, then split
+    the union into two walks to the terminal, always taking the smallest
+    available edge id.  The terminal's in-edges are m from ``ends[0]`` and
+    m+1 from ``ends[1]``, where m is the number of real edges.
     """
-
-    def __init__(self, graph: RoutingGraph) -> None:
-        index = {v: pos for pos, v in enumerate(graph.vertices)}
-        try:
-            tails = [index[e.tail] for e in graph.edges]
-            heads = [index[e.head] for e in graph.edges]
-        except KeyError as exc:
-            raise RoutingError(f"edge endpoint {exc.args[0]!r} is not a vertex") from None
-        weights = [e.weight_db for e in graph.edges]
-        # RoutingGraph is public and can be built by hand, so its weights
-        # are checked here rather than trusted.
-        for eid, weight in enumerate(weights):
-            if not 0.0 <= weight < math.inf:
-                raise RoutingError(f"edge {eid} has invalid weight {weight}")
-        n = len(index)
-        src = index[gen_vertex()]
-        adjacency: list[list[_Arc]] = [[] for _ in range(n)]
-        for eid, (tail, head, weight) in enumerate(zip(tails, heads, weights)):
-            adjacency[tail].append((eid, head, weight))
-        dist, pred, order = _dijkstra(adjacency, src)
-        rank = [n] * n  # n marks an unreached vertex
-        for pos, v in enumerate(order):
-            rank[v] = pos
-        # Reduced costs of the edges between first-pass-reached vertices.
-        reduced: list[list[_Arc]] = [[] for _ in range(n)]
-        for eid, (tail, head, weight) in enumerate(zip(tails, heads, weights)):
-            if dist[tail] < math.inf and dist[head] < math.inf:
-                reduced[tail].append(
-                    (eid, head, max(0.0, weight + dist[tail] - dist[head])))
-        self.index, self.tails, self.heads, self.src = index, tails, heads, src
-        self.edge_count = len(tails)
-        self.pred, self.rank, self.reduced = pred, rank, reduced
-        self.memories = [pos for v, pos in index.items() if v[0] == "mem"]
-        self.second_passes: dict[int, tuple[list[int], dict[int, list[int]]]] = {}
-
-    def _backtrack(self, pred: Sequence[int], end: int) -> list[int]:
-        path: list[int] = []
-        node = end
-        while node != self.src:
-            marker = pred[node]
-            path.append(marker)
-            node = self.tails[marker] if marker >= 0 else self.heads[~marker]
-        path.reverse()
-        return path
-
-    def _second_pass(self, end: int) -> tuple[list[int], dict[int, list[int]]]:
-        """The first path to memory ``end``, and the second path to each
-        memory that pops after it, from one pass on the residual graph."""
-        cached = self.second_passes.get(end)
-        if cached is None:
-            first = self._backtrack(self.pred, end)
-            # Drop first-path edges, append their reversals.
-            adjacency = self.reduced.copy()
-            for eid in first:
-                tail, head = self.tails[eid], self.heads[eid]
-                adjacency[tail] = [arc for arc in adjacency[tail] if arc[0] != eid]
-                adjacency[head] = adjacency[head] + [(~eid, tail, 0.0)]
-            dist2, pred2, _ = _dijkstra(adjacency, self.src)
-            cached = self.second_passes[end] = (first, {
-                other: self._backtrack(pred2, other) for other in self.memories
-                if self.rank[other] > self.rank[end] and dist2[other] < math.inf})
-        return cached
-
-    def route(self, end_a: int, end_b: int
-              ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-        """Disjoint paths ending at ``end_a`` and ``end_b``, or None."""
-        ends = (end_a, end_b)
-        if max(self.rank[end_a], self.rank[end_b]) == len(self.rank):
-            return None  # a terminal edge's tail is unreachable
-        k_first = 0 if self.rank[end_a] <= self.rank[end_b] else 1
-        first, seconds = self._second_pass(ends[k_first])
-        second = seconds.get(ends[1 - k_first])
-        if second is None:
-            return None
-
-        # Cancel first-path edges traversed backwards, keep the rest, then
-        # split the union into two walks to the terminal, always taking
-        # the smallest available edge id.
-        combined = set(first)
-        for marker in second:
-            if marker < 0:
-                combined.discard(~marker)
-            else:
-                combined.add(marker)
-        m = self.edge_count
-        by_tail: dict[int, list[int]] = {}
-        for eid in sorted(combined):
-            by_tail.setdefault(self.tails[eid], []).append(eid)
-        for k in (0, 1):
-            by_tail.setdefault(ends[k], []).append(m + k)
-        bodies: list[tuple[int, ...]] = [(), ()]
-        for _ in range(2):
-            walk: list[int] = []
-            node = self.src
-            while True:
-                bucket = by_tail.get(node)
-                if not bucket:
-                    raise RoutingError("internal error: disjoint-pair splice failed")
-                eid = bucket.pop(0)
-                if eid >= m:
-                    bodies[eid - m] = tuple(walk)
-                    break
-                walk.append(eid)
-                node = self.heads[eid]
-        return bodies[0], bodies[1]
+    combined = set(first)
+    for marker in second:
+        if marker < 0:
+            combined.discard(~marker)
+        else:
+            combined.add(marker)
+    m = len(tails)
+    by_tail: dict[int, list[int]] = {}
+    for eid in sorted(combined):
+        by_tail.setdefault(tails[eid], []).append(eid)
+    for k in (0, 1):
+        by_tail.setdefault(ends[k], []).append(m + k)
+    bodies: list[tuple[int, ...]] = [(), ()]
+    for _ in range(2):
+        walk: list[int] = []
+        node = src
+        while True:
+            bucket = by_tail.get(node)
+            if not bucket:
+                raise RoutingError("internal error: disjoint-pair splice failed")
+            eid = bucket.pop(0)
+            if eid >= m:
+                bodies[eid - m] = tuple(walk)
+                break
+            walk.append(eid)
+            node = heads[eid]
+    return bodies[0], bodies[1]
 
 
 def all_pair_routes(graph: RoutingGraph) -> RouteTable:
     """Route every unordered node pair; collect the unservable ones.
 
-    The graph is compiled and its first pass run once for all pairs.  The
-    source's own memory is a valid endpoint, reached directly from the
+    The source's own memory is a valid endpoint, reached directly from the
     generator.
     """
-    placement = _Placement(graph)
-    index = placement.index
-    nodes = sorted(v[1] for v in graph.vertices if v[0] == "mem")
+    # RoutingGraph is public and can be built by hand, so it is checked
+    # here rather than trusted.  Vertices are numbered by their position
+    # in ``graph.vertices`` and edges keep their ids.
+    index = {v: pos for pos, v in enumerate(graph.vertices)}
+    if len(index) != len(graph.vertices):
+        raise RoutingError("a vertex is listed more than once")
+    if gen_vertex() not in index:
+        raise RoutingError(f"no generator vertex {gen_vertex()!r}")
+    try:
+        tails = [index[e.tail] for e in graph.edges]
+        heads = [index[e.head] for e in graph.edges]
+    except KeyError as exc:
+        raise RoutingError(f"edge endpoint {exc.args[0]!r} is not a vertex") from None
+    weights = [e.weight_db for e in graph.edges]
+    for eid, weight in enumerate(weights):
+        # Built graphs hold floats; the ABC check alone would take a
+        # tenth of the routing time.
+        real = type(weight) is float or (
+            isinstance(weight, numbers.Real) and not isinstance(weight, bool))
+        if not (real and 0.0 <= weight < math.inf):
+            raise RoutingError(f"edge {eid} has invalid weight {weight!r}")
+    n, src = len(index), index[gen_vertex()]
+    adjacency: list[list[_Arc]] = [[] for _ in range(n)]
+    for eid, (tail, head, weight) in enumerate(zip(tails, heads, weights)):
+        adjacency[tail].append((eid, head, weight))
+    dist, pred, order = _dijkstra(adjacency, src)
+    # Reduced costs of the edges between first-pass-reached vertices.
+    reduced: list[list[_Arc]] = [[] for _ in range(n)]
+    for eid, (tail, head, weight) in enumerate(zip(tails, heads, weights)):
+        if dist[tail] < math.inf and dist[head] < math.inf:
+            reduced[tail].append(
+                (eid, head, max(0.0, weight + dist[tail] - dist[head])))
+
+    names = {pos: v[1] for v, pos in index.items() if v[0] == "mem"}
+    popped = [v for v in order if v in names]  # reachable memories
+    found: dict[tuple[str, str], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    for k, end in enumerate(popped[:-1]):
+        first = _backtrack(pred, end, src, tails, heads)
+        # Drop first-path edges, append their reversals.
+        residual = reduced.copy()
+        for eid in first:
+            tail, head = tails[eid], heads[eid]
+            residual[tail] = [arc for arc in residual[tail] if arc[0] != eid]
+            residual[head] = residual[head] + [(~eid, tail, 0.0)]
+        dist2, pred2, _ = _dijkstra(residual, src)
+        for other in popped[k + 1:]:
+            if dist2[other] < math.inf:
+                second = _backtrack(pred2, other, src, tails, heads)
+                # Terminal edge ids go to the memories in name order.
+                a, b = sorted((end, other), key=names.__getitem__)
+                found[(names[a], names[b])] = _splice(
+                    first, second, (a, b), src, tails, heads)
+
+    nodes = sorted(names.values())
     plans: dict[tuple[str, str], RoutePlan] = {}
     infeasible: list[tuple[str, str]] = []
-    for ai, a in enumerate(nodes):
-        for b in nodes[ai + 1:]:
-            result = placement.route(index[mem_vertex(a)], index[mem_vertex(b)])
-            if result is None:
-                infeasible.append((a, b))
-                continue
-            total = math.fsum(graph.edges[eid].weight_db
-                              for path in result for eid in path)
-            plans[(a, b)] = RoutePlan(pair=(a, b), path_a=result[0],
-                                      path_b=result[1], total_loss_db=total,
-                                      eta=transmittance(total))
+    for pair in itertools.combinations(nodes, 2):
+        paths = found.get(pair)
+        if paths is None:
+            infeasible.append(pair)
+            continue
+        total = math.fsum(weights[eid] for path in paths for eid in path)
+        plans[pair] = RoutePlan(pair=pair, path_a=paths[0], path_b=paths[1],
+                                total_loss_db=total, eta=transmittance(total))
     return RouteTable(graph.source, plans, tuple(infeasible))
 
 

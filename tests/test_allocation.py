@@ -532,6 +532,13 @@ class TestRandomBalanced:
         with pytest.raises(AllocationError, match=f"seed must be >= 0, got {seed}"):
             random_balanced(inst, seed)
 
+    @pytest.mark.parametrize("seed", [2.5, True, "3"])
+    def test_non_int_seed_rejected(self, seed):
+        inst = make_instance([1.0, 1.0], [1.0] * 4)
+        with pytest.raises(AllocationError,
+                           match=re.escape(f"must be an int, got {seed!r}")):
+            random_balanced(inst, seed)
+
     def test_uniform_first_channel(self):
         # m=2, k=2: a uniform shuffle puts channel 0 on pair 0 half the
         # time; 10000 seeds must land within two points of that.

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -73,6 +74,12 @@ class TestSeeding:
     def test_derive_seed_rejects_negative_master(self):
         with pytest.raises(ConfigError, match="master seed must be >= 0, got -1"):
             derive_seed(-1, 0, 0, 0, 0)
+
+    @pytest.mark.parametrize("master", [2.5, True, "3"])
+    def test_derive_seed_rejects_non_int_master(self, master):
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"must be an int, got {master!r}")):
+            derive_seed(master, 0, 0, 0, 0)
 
 
 # Declared field types, written out independently of the annotations: a
@@ -541,6 +548,14 @@ class TestAllocateOnce:
         # The rule ExperimentConfig applies, for strategies that ignore
         # the seed too.
         with pytest.raises(ConfigError, match=f"got {seed}$"):
+            allocate_once(self.make_instance(), strategy, seed=seed)
+
+    @pytest.mark.parametrize("seed", [2.5, True, "3"])
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_non_int_seed_rejected(self, strategy, seed):
+        # True would otherwise run as seed 1, which ExperimentConfig refuses.
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"must be an int, got {seed!r}")):
             allocate_once(self.make_instance(), strategy, seed=seed)
 
     def test_seed_at_64_bit_edges_accepted(self):

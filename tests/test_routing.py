@@ -41,6 +41,7 @@ def _routes(graph):
     router and total for total against exhaustive search."""
     table = all_pair_routes(graph)
     assert table == reference_route_table(graph)
+    assert list(table.plans) == sorted(table.plans)
     edges = [(e.tail, e.head, e.weight_db) for e in graph.edges]
     nodes = sorted(v[1] for v in graph.vertices if v[0] == "mem")
     for a, b in itertools.combinations(nodes, 2):
@@ -126,7 +127,7 @@ class TestSuurballeSmall:
         assert (plan.path_a, plan.path_b) == ((5, 1, 3, 6), (4,))
         assert plan.total_loss_db == 2.0
 
-    @pytest.mark.parametrize("weight", [math.inf, math.nan, -1.0])
+    @pytest.mark.parametrize("weight", [math.inf, math.nan, -1.0, "1", True])
     def test_invalid_weight_rejected(self, weight):
         graph = _graph([(GEN, A, 1.0), (GEN, B, weight)])
         with pytest.raises(RoutingError, match="invalid weight"):
@@ -136,6 +137,17 @@ class TestSuurballeSmall:
         graph = _graph([(GEN, A, 1.0), (GEN, B, 1.0)])
         graph = RoutingGraph("s", graph.vertices[:-1], graph.edges)
         with pytest.raises(RoutingError, match="is not a vertex"):
+            all_pair_routes(graph)
+
+    def test_missing_generator_rejected(self):
+        graph = RoutingGraph("s", (A, B), ())
+        with pytest.raises(RoutingError, match="no generator vertex"):
+            all_pair_routes(graph)
+
+    def test_repeated_vertex_rejected(self):
+        graph = _graph([(GEN, A, 1.0), (GEN, B, 1.0)])
+        graph = RoutingGraph("s", graph.vertices + (A,), graph.edges)
+        with pytest.raises(RoutingError, match="listed more than once"):
             all_pair_routes(graph)
 
     def test_edge_disjoint_not_vertex_disjoint(self):
@@ -312,7 +324,9 @@ class TestRouteIdentity:
     def test_every_ilec17_placement(self, source, default_loss):
         graph = build_routing_graph(bundled_topology("ilec17"), source,
                                     default_loss)
-        assert all_pair_routes(graph) == reference_route_table(graph)
+        table = all_pair_routes(graph)
+        assert table == reference_route_table(graph)
+        assert list(table.plans) == sorted(table.plans)
 
     @pytest.mark.parametrize("name", ["simple6", "ilec17"])
     def test_all_zero_weights(self, name):
