@@ -94,15 +94,25 @@ def splitmix64(value: int) -> int:
     return z ^ (z >> 31)
 
 
+def _seed_word(value: object, what: str) -> int:
+    """``value`` if it is an int in 0..2**64-1; a ConfigError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an int, got {value!r}")
+    if not 0 <= value <= _MASK64:
+        bound = ">= 0" if value < 0 else "< 2**64"
+        raise ConfigError(f"{what} must be {bound}, got {value}")
+    return int(value)
+
+
 def derive_seed(master: int, *indices: int) -> int:
-    """Fold sweep coordinates into an independent 64-bit run seed."""
-    if isinstance(master, bool) or not isinstance(master, int):
-        raise ConfigError(f"master seed must be an int, got {master!r}")
-    if master < 0:
-        raise ConfigError(f"master seed must be >= 0, got {master}")
-    seed = master & _MASK64
+    """Fold sweep coordinates, each an int in 0..2**64-1, into a run seed."""
+    seed = master
+    if not (type(seed) is int and 0 <= seed <= _MASK64):
+        seed = _seed_word(master, "master seed")
     for index in indices:
-        seed = splitmix64(seed ^ (index & _MASK64))
+        if not (type(index) is int and 0 <= index <= _MASK64):
+            index = _seed_word(index, "seed index")
+        seed = splitmix64(seed ^ index)
     return seed
 
 
@@ -149,8 +159,7 @@ class ExperimentConfig:
                 f"unknown strategies: {', '.join(sorted(unknown))}; "
                 f"known: {', '.join(ALL_STRATEGIES)}"
             )
-        if not 0 <= self.seed < 2 ** 64:
-            raise ConfigError("seed must fit in 64 bits")
+        _seed_word(self.seed, "seed")
         if self.channels < 1:
             raise ConfigError(f"channels must be >= 1, got {self.channels}")
         if min(self.wss_losses) < 0:
@@ -357,10 +366,8 @@ def allocate_once(instance: AllocationInstance, strategy: str, *,
     """
     if strategy not in _STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise ConfigError(f"seed must be an int, got {seed!r}")
-    if seed is not None and not 0 <= seed <= _MASK64:
-        raise ConfigError(f"seed must be in 0..2**64 - 1, got {seed}")
+    if seed is not None:
+        _seed_word(seed, "seed")
     result = _STRATEGIES[strategy][0](instance, seed, node_budget)
     if isinstance(result, ExactResult):
         return result.allocation, result.optimal

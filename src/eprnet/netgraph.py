@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 Vertex = tuple
 _ALLOWED_TOP_KEYS = {"name", "nodes", "links", "provenance"}
@@ -247,8 +247,7 @@ def out_port(node_id: str, neighbor_id: str) -> Vertex:
     return ("out", node_id, neighbor_id)
 
 
-@dataclass(frozen=True)
-class GraphEdge:
+class GraphEdge(NamedTuple):
     """One directed loss edge; ``kind`` names the physical element.
 
     fiber: a fiber span (weight = fiber loss/km * distance)
@@ -294,43 +293,32 @@ def build_routing_graph(topology: PhysicalTopology, source: str,
     topology.node(source)
     node_ids = topology.node_ids
     consumers = [n for n in node_ids if n != source]
-
-    vertices: list[Vertex] = [gen_vertex()]
-    vertices.extend(mem_vertex(n) for n in node_ids)
-    for i in consumers:
-        vertices.extend(in_port(i, j) for j in topology.neighbors(i))
-    # Output ports exist only where the outgoing fiber exists; fibers never
-    # point at the source, so ports facing it are omitted everywhere.
-    for i in node_ids:
-        vertices.extend(
-            out_port(i, j) for j in topology.neighbors(i) if j != source
-        )
+    gen = gen_vertex()
+    mems = {i: mem_vertex(i) for i in node_ids}
+    # Each vertex tuple is made once and shared by all edges at it.  Output
+    # ports exist only where the outgoing fiber exists; fibers never point
+    # at the source, so ports facing it are omitted everywhere.
+    ins = {i: {j: in_port(i, j) for j in topology.neighbors(i)} for i in consumers}
+    outs = {i: {j: out_port(i, j) for j in topology.neighbors(i) if j != source}
+            for i in node_ids}
+    vertices = [gen, *mems.values()]
+    for ports in (*ins.values(), *outs.values()):
+        vertices.extend(ports.values())
 
     edges: list[GraphEdge] = []
-    wss = loss.wss_loss_db
+    wss, transit_db = loss.wss_loss_db, 2 * loss.wss_loss_db
     for link in sorted(topology.links, key=lambda l: tuple(sorted((l.a, l.b)))):
-        dist = link_distance(topology, link.a, link.b)
-        fiber_db = loss.fiber_loss_db_per_km * dist
+        fiber_db = loss.fiber_loss_db_per_km * link_distance(topology, link.a, link.b)
         for tail_node, head_node in ((link.a, link.b), (link.b, link.a)):
-            if head_node == source:
-                continue
-            edges.append(
-                GraphEdge(out_port(tail_node, head_node),
-                          in_port(head_node, tail_node), fiber_db, "fiber")
-            )
+            if head_node != source:
+                edges.append(GraphEdge(outs[tail_node][head_node],
+                                       ins[head_node][tail_node], fiber_db, "fiber"))
     for i in consumers:
-        nbrs = topology.neighbors(i)
-        for j in nbrs:
-            for k in nbrs:
-                if k == source:
-                    continue
-                edges.append(
-                    GraphEdge(in_port(i, j), out_port(i, k), 2 * wss, "transit")
-                )
-        for j in nbrs:
-            edges.append(GraphEdge(in_port(i, j), mem_vertex(i), wss, "drop"))
-    for j in topology.neighbors(source):
-        edges.append(GraphEdge(gen_vertex(), out_port(source, j), 2 * wss, "transit"))
-    edges.append(GraphEdge(gen_vertex(), mem_vertex(source), wss, "drop"))
+        ports_in, ports_out, mem = ins[i].values(), outs[i].values(), mems[i]
+        edges += [GraphEdge(p, q, transit_db, "transit")
+                  for p in ports_in for q in ports_out]
+        edges += [GraphEdge(p, mem, wss, "drop") for p in ports_in]
+    edges += [GraphEdge(gen, q, transit_db, "transit") for q in outs[source].values()]
+    edges.append(GraphEdge(gen, mems[source], wss, "drop"))
 
     return RoutingGraph(source, tuple(vertices), tuple(edges))

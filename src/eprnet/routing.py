@@ -95,16 +95,15 @@ def _dijkstra(adjacency: Sequence[Sequence[_Arc]], start: int
     n = len(adjacency)
     dist = [math.inf] * n
     pred = [0] * n
-    done = [False] * n
     order: list[int] = []
     dist[start] = 0.0
     counter = 0
     heap: list[tuple[float, int, int]] = [(0.0, counter, start)]
     while heap:
         d, _, u = heappop(heap)
-        if done[u]:
+        # A push needs a strictly shorter distance, so older entries are stale.
+        if d > dist[u]:
             continue
-        done[u] = True
         order.append(u)
         for marker, head, weight in adjacency[u]:
             nd = d + weight
@@ -182,12 +181,12 @@ def all_pair_routes(graph: RoutingGraph) -> RouteTable:
         raise RoutingError("a vertex is listed more than once")
     if gen_vertex() not in index:
         raise RoutingError(f"no generator vertex {gen_vertex()!r}")
+    tail_vs, head_vs, weights, _ = zip(*graph.edges) if graph.edges else ((),) * 4
     try:
-        tails = [index[e.tail] for e in graph.edges]
-        heads = [index[e.head] for e in graph.edges]
+        tails = list(map(index.__getitem__, tail_vs))
+        heads = list(map(index.__getitem__, head_vs))
     except KeyError as exc:
         raise RoutingError(f"edge endpoint {exc.args[0]!r} is not a vertex") from None
-    weights = [e.weight_db for e in graph.edges]
     for eid, weight in enumerate(weights):
         # Built graphs hold floats; the ABC check alone would take a
         # tenth of the routing time.
@@ -200,12 +199,14 @@ def all_pair_routes(graph: RoutingGraph) -> RouteTable:
     for eid, (tail, head, weight) in enumerate(zip(tails, heads, weights)):
         adjacency[tail].append((eid, head, weight))
     dist, pred, order = _dijkstra(adjacency, src)
-    # Reduced costs of the edges between first-pass-reached vertices.
+    # Reduced costs, clamped at 0, of the edges between reached vertices.
     reduced: list[list[_Arc]] = [[] for _ in range(n)]
-    for eid, (tail, head, weight) in enumerate(zip(tails, heads, weights)):
-        if dist[tail] < math.inf and dist[head] < math.inf:
-            reduced[tail].append(
-                (eid, head, max(0.0, weight + dist[tail] - dist[head])))
+    for tail, dt in enumerate(dist):
+        if dt < math.inf:
+            for eid, head, weight in adjacency[tail]:
+                if dist[head] < math.inf:
+                    cost = weight + dt - dist[head]
+                    reduced[tail].append((eid, head, cost if cost > 0.0 else 0.0))
 
     names = {pos: v[1] for v, pos in index.items() if v[0] == "mem"}
     popped = [v for v in order if v in names]  # reachable memories

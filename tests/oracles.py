@@ -9,7 +9,9 @@ first-fit walk, the min-scan LPT and the Hall-bisecting matching rounds,
 the library's earlier forms of those heuristics, kept to hold the faster
 ones to the very same allocations; and the per-pair router at the end,
 the library's earlier, simpler router, kept to hold the faster one to the
-very same routes.
+very same routes; and the port-by-port graph build, the library's earlier
+form of ``build_routing_graph``, kept to hold the faster one to the very
+same vertex and edge order, since edge ids break the router's ties.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ import numpy as np
 from eprnet import (
     Allocation,
     AllocationInstance,
+    GraphEdge,
+    LossParams,
+    PhysicalTopology,
     RoutePlan,
     RouteTable,
     RoutingGraph,
@@ -30,8 +35,11 @@ from eprnet import (
     first_fit,
     fractional_optimum,
     gen_vertex,
+    in_port,
+    link_distance,
     mem_vertex,
     modified_lpt,
+    out_port,
     received_rates,
     transmittance,
 )
@@ -569,3 +577,55 @@ def reference_route_table(graph: RoutingGraph) -> RouteTable:
             else:
                 plans[(a, b)] = plan
     return RouteTable(graph.source, plans, tuple(infeasible))
+
+
+# --- pinned graph build ----------------------------------------------------
+#
+# Every vertex and edge made port by port, in the order the router's edge
+# ids and tie rules were fixed against.
+
+
+def reference_routing_graph(topology: PhysicalTopology, source: str,
+                            loss: LossParams) -> RoutingGraph:
+    """The loss graph for one source, built one port tuple per use."""
+    topology.node(source)
+    node_ids = topology.node_ids
+    consumers = [n for n in node_ids if n != source]
+
+    vertices = [gen_vertex()]
+    vertices.extend(mem_vertex(n) for n in node_ids)
+    for i in consumers:
+        vertices.extend(in_port(i, j) for j in topology.neighbors(i))
+    for i in node_ids:
+        vertices.extend(
+            out_port(i, j) for j in topology.neighbors(i) if j != source
+        )
+
+    edges = []
+    wss = loss.wss_loss_db
+    for link in sorted(topology.links, key=lambda l: tuple(sorted((l.a, l.b)))):
+        dist = link_distance(topology, link.a, link.b)
+        fiber_db = loss.fiber_loss_db_per_km * dist
+        for tail_node, head_node in ((link.a, link.b), (link.b, link.a)):
+            if head_node == source:
+                continue
+            edges.append(
+                GraphEdge(out_port(tail_node, head_node),
+                          in_port(head_node, tail_node), fiber_db, "fiber")
+            )
+    for i in consumers:
+        nbrs = topology.neighbors(i)
+        for j in nbrs:
+            for k in nbrs:
+                if k == source:
+                    continue
+                edges.append(
+                    GraphEdge(in_port(i, j), out_port(i, k), 2 * wss, "transit")
+                )
+        for j in nbrs:
+            edges.append(GraphEdge(in_port(i, j), mem_vertex(i), wss, "drop"))
+    for j in topology.neighbors(source):
+        edges.append(GraphEdge(gen_vertex(), out_port(source, j), 2 * wss, "transit"))
+    edges.append(GraphEdge(gen_vertex(), mem_vertex(source), wss, "drop"))
+
+    return RoutingGraph(source, tuple(vertices), tuple(edges))

@@ -81,6 +81,31 @@ class TestSeeding:
                            match=re.escape(f"must be an int, got {master!r}")):
             derive_seed(master, 0, 0, 0, 0)
 
+    @pytest.mark.parametrize("master", [2 ** 64, 2 ** 64 + 7])
+    def test_derive_seed_rejects_master_beyond_64_bits(self, master):
+        # 2**64 + k once folded into k.
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"master seed must be < 2**64, got {master}")):
+            derive_seed(master, 0, 0, 0, 0)
+
+    @pytest.mark.parametrize("index", [2.5, True, False, "1", None])
+    def test_derive_seed_rejects_non_int_index(self, index):
+        # True once passed as 1, and 2.5 raised a bare TypeError.
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"seed index must be an int, got {index!r}")):
+            derive_seed(1, 0, index)
+
+    @pytest.mark.parametrize("index", [-1, 2 ** 64, 2 ** 64 + 3])
+    def test_derive_seed_rejects_index_outside_64_bits(self, index):
+        # -1 once folded into 2**64 - 1, and 2**64 + k into k.
+        with pytest.raises(ConfigError, match=f"seed index must be .*, got {index}$"):
+            derive_seed(1, index, 0)
+
+    def test_derive_seed_accepts_64_bit_edges(self):
+        top = 2 ** 64 - 1
+        assert derive_seed(top, 0, top) == splitmix64(splitmix64(top) ^ top)
+        assert derive_seed(0) == 0
+
 
 # Declared field types, written out independently of the annotations: a
 # type; a one-element list or tuple for a tuple of it; a one-element set for

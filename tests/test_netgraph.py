@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eprnet import (
+    GraphEdge,
     Link,
     LossParams,
     Node,
@@ -24,6 +25,7 @@ from eprnet import (
     topology_from_dict,
     transmittance,
 )
+from oracles import reference_routing_graph
 
 
 def random_connected_topology(rng: random.Random, n: int) -> PhysicalTopology:
@@ -129,6 +131,62 @@ class TestGraphInvariants:
     def test_unknown_source(self, two_node, default_loss):
         with pytest.raises(TopologyError):
             build_routing_graph(two_node, "zz", default_loss)
+
+
+def _layout(graph):
+    """Source, vertices, and edges as (tail, head, weight_db, kind), in order."""
+    return (graph.source, graph.vertices,
+            [(e.tail, e.head, e.weight_db, e.kind) for e in graph.edges])
+
+
+@st.composite
+def placements(draw):
+    """A random connected topology, one of its sites and a loss model.  Site
+    names come in a random order, so sorting them is not a no-op, and some
+    links take their length from the coordinates."""
+    names = draw(st.permutations("abcdef"))[:draw(st.integers(1, 6))]
+    pairs = {frozenset((names[i], names[draw(st.integers(0, i - 1))]))
+             for i in range(1, len(names))}
+    if len(names) > 1:
+        pairs |= set(draw(st.lists(st.sampled_from(
+            [frozenset((a, b)) for a in names for b in names if a < b]), max_size=5)))
+    links = tuple(Link(*sorted(pair, reverse=draw(st.booleans())),
+                       draw(st.none() | st.floats(0.1, 50.0)))
+                  for pair in sorted(pairs, key=sorted))
+    nodes = tuple(Node(name, float(k), float(k * k)) for k, name in enumerate(names))
+    loss = LossParams(draw(st.sampled_from([0.0, 0.4]) | st.floats(0.0, 1.0)),
+                      draw(st.sampled_from([0.0, 4.0, 8.0]) | st.floats(0.0, 20.0)))
+    return PhysicalTopology("rand", nodes, links), draw(st.sampled_from(names)), loss
+
+
+class TestGraphLayout:
+    """``build_routing_graph`` keeps the pinned port-by-port build's vertex
+    and edge order: edge ids are the router's tie-breakers."""
+
+    @pytest.mark.parametrize("wss", [0.0, 4.0, 8.0])
+    @pytest.mark.parametrize("fiber", [0.0, 0.4])
+    @pytest.mark.parametrize("name", ["simple6", "ilec17"])
+    def test_bundled_placements(self, name, fiber, wss):
+        topology, loss = bundled_topology(name), LossParams(fiber, wss)
+        for source in topology.node_ids:
+            assert _layout(build_routing_graph(topology, source, loss)) == _layout(
+                reference_routing_graph(topology, source, loss))
+
+    @settings(max_examples=200, deadline=None)
+    @given(placements())
+    def test_random_topologies(self, placement):
+        assert _layout(build_routing_graph(*placement)) == _layout(
+            reference_routing_graph(*placement))
+
+    def test_graph_edge_shape(self):
+        edge = GraphEdge(gen_vertex(), mem_vertex("a"), 8.0, "drop")
+        assert GraphEdge._fields == ("tail", "head", "weight_db", "kind")
+        assert (edge.tail, edge.head, edge.weight_db, edge.kind) == (
+            ("gen",), ("mem", "a"), 8.0, "drop")
+        assert repr(edge) == ("GraphEdge(tail=('gen',), head=('mem', 'a'), "
+                              "weight_db=8.0, kind='drop')")
+        with pytest.raises(AttributeError):
+            edge.weight_db = 0.0
 
 
 class TestLossParams:

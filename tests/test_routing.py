@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eprnet.routing
 from eprnet import (
@@ -21,7 +23,7 @@ from eprnet import (
     route_nodes,
     topology_from_dict,
 )
-from oracles import best_disjoint_total, reference_route_table
+from oracles import _ref_dijkstra, best_disjoint_total, reference_route_table
 
 GEN, A, B = gen_vertex(), mem_vertex("a"), mem_vertex("b")
 
@@ -115,6 +117,11 @@ class TestSuurballeSmall:
         assert table.plans == {}
         assert table.infeasible == (("a", "b"),)
 
+    def test_no_edges(self):
+        table = _routes(_graph([], extra=(A, B)))
+        assert table.plans == {}
+        assert table.infeasible == (("a", "b"),)
+
     def test_reversal_relaxed_after_real_edges(self):
         # Zero-weight ties: relaxing the reversed first-path edge out of a
         # vertex before its real edges would return ((5, 6), (4,)) instead,
@@ -176,6 +183,37 @@ class TestSuurballeRandomized:
                 assert edges[-1].head == mem_vertex(end)
                 for prev, cur in zip(edges, edges[1:]):
                     assert prev.head == cur.tail
+
+
+@st.composite
+def arc_lists(draw):
+    """A start vertex and (tail, head, weight) arcs on up to 7 vertices:
+    self-loops, parallel arcs, zero weights, repeated weights and ties that
+    only rounding makes (1e16 + 1.0 == 1e16)."""
+    n = draw(st.integers(1, 7))
+    vertex = st.integers(0, n - 1)
+    weight = st.sampled_from([0.0, 1.0, 2.0, 1e16]) | st.floats(0.0, 4.0)
+    return draw(vertex), draw(st.lists(st.tuples(vertex, vertex, weight), max_size=24)), n
+
+
+class TestDijkstra:
+    @settings(max_examples=400, deadline=None)
+    @given(arc_lists())
+    def test_matches_reference(self, case):
+        start, arcs, n = case
+        adjacency = [[] for _ in range(n)]
+        ref_adjacency = {}
+        for eid, (tail, head, weight) in enumerate(arcs):
+            adjacency[tail].append((eid, head, weight))
+            ref_adjacency.setdefault(tail, []).append(eid)
+        dist, pred, order = eprnet.routing._dijkstra(adjacency, start)
+        ref_dist, ref_pred = _ref_dijkstra(ref_adjacency, arcs, start)
+        reached = {v: d for v, d in enumerate(dist) if d < math.inf}
+        assert reached == ref_dist
+        assert {v: pred[v] for v in reached if v != start} == ref_pred
+        # Every reached vertex pops once, in order of distance.
+        assert sorted(order) == sorted(reached)
+        assert [dist[v] for v in order] == sorted(reached.values())
 
 
 class TestPairRoutes:
