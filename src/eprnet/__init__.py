@@ -49,7 +49,6 @@ from .netgraph import (
     build_routing_graph,
     bundled_topology,
     gen_vertex,
-    in_port,
     link_distance,
     load_topology,
     mem_vertex,
@@ -89,8 +88,8 @@ __all__ = [
     "normalized_min_rate",
     "GraphEdge", "Link", "LossParams", "Node", "PhysicalTopology",
     "RoutingGraph", "TopologyError", "build_routing_graph", "bundled_topology",
-    "gen_vertex", "in_port", "link_distance", "load_topology", "mem_vertex",
-    "out_port", "topology_from_dict", "transmittance",
+    "gen_vertex", "link_distance", "load_topology", "mem_vertex", "out_port",
+    "topology_from_dict", "transmittance",
     "RoutePlan", "RouteTable", "RoutingError", "all_pair_routes",
     "route_nodes",
     "SPEED_OF_LIGHT_NM_THZ", "ChannelGrid", "RateVector", "SpectrumProfile",

@@ -1,21 +1,32 @@
-"""Physical fiber topologies and the directed port-level loss graph.
+"""Physical fiber topologies and the directed loss graph.
 
 A physical topology is an undirected graph of sites joined by fiber links.
 For a chosen source site the topology expands into a directed graph whose
-vertices are switch ports and quantum memories:
+vertices are switches, output ports and quantum memories:
 
-* ``("gen",)`` - the photon-pair generator, colocated with the source;
+* ``("gen",)`` - the photon-pair generator, colocated with the source; it
+  is the source's switch;
 * ``("mem", i)`` - node i's quantum memory, where photons terminate;
-* ``("in", i, j)`` - node i's input port for the fiber arriving from j;
+* ``("node", i)`` - consumer i's switch, where every fiber into i ends;
 * ``("out", i, j)`` - node i's output port for the fiber departing to j.
 
 Edge weights are losses in dB, so shortest paths are minimum-loss routes.
 Every photon leaving a node traverses two wavelength-selective switches
 (one demux, one mux), while a photon dropped into the local memory passes
 only one; fiber spans lose ``fiber_loss_db_per_km`` per km.  The source
-never relays foreign photons, so it has no input ports and no fiber edge
-points toward it; consequently consumer output ports facing the source are
-never created (they could carry no traffic).
+never relays foreign photons, so no fiber edge points toward it;
+consequently consumer output ports facing the source are never created
+(they could carry no traffic).
+
+One switch vertex per consumer is exact.  A graph with one input port
+``in(i, j)`` per incoming fiber would link it to every output port of i
+at ``2 * wss`` and to i's memory at ``wss``, whatever j is, and its only
+in-edge would be the fiber from j.  So each path through such ports maps
+onto a path through ``node(i)`` with the same multiset of edge weights,
+and so the same ``math.fsum`` total, and back.  Edge-disjointness maps
+too: paths that share an edge out of ``in(i, j)`` share the fiber into
+it, paths that share ``node(i) -> out(i, k)`` share the fiber i -> k out
+of it, and a drop edge ends a path at its own memory.
 """
 
 from __future__ import annotations
@@ -239,10 +250,6 @@ def mem_vertex(node_id: str) -> Vertex:
     return ("mem", node_id)
 
 
-def in_port(node_id: str, neighbor_id: str) -> Vertex:
-    return ("in", node_id, neighbor_id)
-
-
 def out_port(node_id: str, neighbor_id: str) -> Vertex:
     return ("out", node_id, neighbor_id)
 
@@ -263,7 +270,7 @@ class GraphEdge(NamedTuple):
 
 @dataclass(frozen=True)
 class RoutingGraph:
-    """Directed port-level loss graph for one source placement."""
+    """Directed loss graph for one source placement."""
 
     source: str
     vertices: tuple[Vertex, ...]
@@ -273,14 +280,6 @@ class RoutingGraph:
 def build_routing_graph(topology: PhysicalTopology, source: str,
                         loss: LossParams) -> RoutingGraph:
     """Expand a topology into the directed loss graph for one source.
-
-    The graph keeps U-turn edges, which send a photon back out on the
-    fiber it arrived on (``in(i, j) -> out(i, j)``), though a minimum-loss
-    route never needs one.  Cutting the detour ``j -> i -> j`` out of a
-    path saves two fiber spans and two node transits (all lossless only
-    when every weight is 0, and then every eta is 1 anyway).  The shortcut
-    edge at j stays disjoint from the other path: it can only be entered
-    through the fiber this path already uses.
 
     Args:
         topology: physical fiber network.
@@ -292,17 +291,17 @@ def build_routing_graph(topology: PhysicalTopology, source: str,
     """
     topology.node(source)
     node_ids = topology.node_ids
-    consumers = [n for n in node_ids if n != source]
-    gen = gen_vertex()
     mems = {i: mem_vertex(i) for i in node_ids}
     # Each vertex tuple is made once and shared by all edges at it.  Output
     # ports exist only where the outgoing fiber exists; fibers never point
     # at the source, so ports facing it are omitted everywhere.
-    ins = {i: {j: in_port(i, j) for j in topology.neighbors(i)} for i in consumers}
+    switches = {i: ("node", i) for i in node_ids}
+    switches[source] = gen_vertex()
     outs = {i: {j: out_port(i, j) for j in topology.neighbors(i) if j != source}
             for i in node_ids}
-    vertices = [gen, *mems.values()]
-    for ports in (*ins.values(), *outs.values()):
+    vertices = [switches[source], *mems.values()]
+    vertices += [switches[i] for i in node_ids if i != source]
+    for ports in outs.values():
         vertices.extend(ports.values())
 
     edges: list[GraphEdge] = []
@@ -312,13 +311,9 @@ def build_routing_graph(topology: PhysicalTopology, source: str,
         for tail_node, head_node in ((link.a, link.b), (link.b, link.a)):
             if head_node != source:
                 edges.append(GraphEdge(outs[tail_node][head_node],
-                                       ins[head_node][tail_node], fiber_db, "fiber"))
-    for i in consumers:
-        ports_in, ports_out, mem = ins[i].values(), outs[i].values(), mems[i]
-        edges += [GraphEdge(p, q, transit_db, "transit")
-                  for p in ports_in for q in ports_out]
-        edges += [GraphEdge(p, mem, wss, "drop") for p in ports_in]
-    edges += [GraphEdge(gen, q, transit_db, "transit") for q in outs[source].values()]
-    edges.append(GraphEdge(gen, mems[source], wss, "drop"))
+                                       switches[head_node], fiber_db, "fiber"))
+    for i, switch in switches.items():
+        edges += [GraphEdge(switch, q, transit_db, "transit") for q in outs[i].values()]
+        edges.append(GraphEdge(switch, mems[i], wss, "drop"))
 
     return RoutingGraph(source, tuple(vertices), tuple(edges))

@@ -2,8 +2,8 @@
 
 Both photons of an entangled pair leave the generator together, so serving
 the node pair (i, j) means finding two edge-disjoint directed paths in the
-port-level loss graph: one from the generator to i's memory and one to j's
-memory.  A joint minimum-total-loss pair of paths is found with Suurballe's
+loss graph: one from the generator to i's memory and one to j's memory.
+A joint minimum-total-loss pair of paths is found with Suurballe's
 algorithm after funneling both memories into a shared terminal with
 zero-weight edges.
 

@@ -9,9 +9,12 @@ first-fit walk, the min-scan LPT and the Hall-bisecting matching rounds,
 the library's earlier forms of those heuristics, kept to hold the faster
 ones to the very same allocations; and the per-pair router at the end,
 the library's earlier, simpler router, kept to hold the faster one to the
-very same routes; and the port-by-port graph build, the library's earlier
-form of ``build_routing_graph``, kept to hold the faster one to the very
-same vertex and edge order, since edge ids break the router's ties.
+very same routes; and the switch-by-switch graph build, written one
+vertex tuple per use, kept to hold ``build_routing_graph`` to the very
+same vertex and edge order, since edge ids break the router's ties.  The
+port-level graph build, the library's earlier form of
+``build_routing_graph`` with one input port per incoming fiber, is an
+oracle of values: routing it must give the same totals and etas.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from eprnet import (
     first_fit,
     fractional_optimum,
     gen_vertex,
-    in_port,
     link_distance,
     mem_vertex,
     modified_lpt,
@@ -579,18 +581,62 @@ def reference_route_table(graph: RoutingGraph) -> RouteTable:
     return RouteTable(graph.source, plans, tuple(infeasible))
 
 
-# --- pinned graph build ----------------------------------------------------
+# --- graph builds ----------------------------------------------------------
 #
-# Every vertex and edge made port by port, in the order the router's edge
-# ids and tie rules were fixed against.
+# Every vertex and edge made one tuple per use: the switch-level build in
+# the order the router's edge ids and tie rules are fixed against, and the
+# port-level build the switch vertices replaced.
+
+
+def reference_switch_graph(topology: PhysicalTopology, source: str,
+                           loss: LossParams) -> RoutingGraph:
+    """The loss graph for one source: one switch vertex per consumer, with
+    the generator as the source's switch."""
+    topology.node(source)
+    node_ids = topology.node_ids
+
+    def switch(i):
+        return gen_vertex() if i == source else ("node", i)
+
+    vertices = [gen_vertex()]
+    vertices.extend(mem_vertex(n) for n in node_ids)
+    vertices.extend(switch(i) for i in node_ids if i != source)
+    for i in node_ids:
+        vertices.extend(
+            out_port(i, j) for j in topology.neighbors(i) if j != source
+        )
+
+    edges = []
+    wss = loss.wss_loss_db
+    for link in sorted(topology.links, key=lambda l: tuple(sorted((l.a, l.b)))):
+        dist = link_distance(topology, link.a, link.b)
+        fiber_db = loss.fiber_loss_db_per_km * dist
+        for tail_node, head_node in ((link.a, link.b), (link.b, link.a)):
+            if head_node == source:
+                continue
+            edges.append(GraphEdge(out_port(tail_node, head_node),
+                                   switch(head_node), fiber_db, "fiber"))
+    for i in node_ids:
+        for k in topology.neighbors(i):
+            if k != source:
+                edges.append(GraphEdge(switch(i), out_port(i, k), 2 * wss,
+                                       "transit"))
+        edges.append(GraphEdge(switch(i), mem_vertex(i), wss, "drop"))
+
+    return RoutingGraph(source, tuple(vertices), tuple(edges))
 
 
 def reference_routing_graph(topology: PhysicalTopology, source: str,
                             loss: LossParams) -> RoutingGraph:
-    """The loss graph for one source, built one port tuple per use."""
+    """The port-level loss graph for one source: consumer i has an input
+    port ``("in", i, j)`` per incoming fiber, linked to each of i's output
+    ports and to i's memory."""
     topology.node(source)
     node_ids = topology.node_ids
     consumers = [n for n in node_ids if n != source]
+
+    def in_port(i, j):
+        return ("in", i, j)
 
     vertices = [gen_vertex()]
     vertices.extend(mem_vertex(n) for n in node_ids)

@@ -39,7 +39,7 @@ def test_public_api_is_pinned():
         "channel_center_frequency", "channel_center_wavelength",
         "channels_by_pair", "config_from_json", "derive_seed", "emit_csv",
         "emit_plot", "exact_maxmin", "first_fit", "fractional_optimum",
-        "gen_vertex", "generation_rates", "in_port", "jain_index",
+        "gen_vertex", "generation_rates", "jain_index",
         "link_distance", "load_topology", "lp_round", "mem_vertex",
         "modified_lpt", "normalization_reference",
         "normalized_min_rate", "out_port", "random_balanced", "read_csv_rows",

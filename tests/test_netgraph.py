@@ -14,10 +14,10 @@ from eprnet import (
     Node,
     PhysicalTopology,
     TopologyError,
+    all_pair_routes,
     build_routing_graph,
     bundled_topology,
     gen_vertex,
-    in_port,
     link_distance,
     load_topology,
     mem_vertex,
@@ -25,7 +25,7 @@ from eprnet import (
     topology_from_dict,
     transmittance,
 )
-from oracles import reference_routing_graph
+from oracles import reference_routing_graph, reference_switch_graph
 
 
 def random_connected_topology(rng: random.Random, n: int) -> PhysicalTopology:
@@ -51,14 +51,14 @@ class TestTwoNodeConstruction:
         graph = build_routing_graph(two_node, "s", default_loss)
         assert set(graph.vertices) == {
             gen_vertex(), mem_vertex("s"), out_port("s", "a"),
-            in_port("a", "s"), mem_vertex("a"),
+            ("node", "a"), mem_vertex("a"),
         }
         edges = {(e.tail, e.head): (e.weight_db, e.kind) for e in graph.edges}
         assert edges == {
             (gen_vertex(), out_port("s", "a")): (16.0, "transit"),
             (gen_vertex(), mem_vertex("s")): (8.0, "drop"),
-            (out_port("s", "a"), in_port("a", "s")): (pytest.approx(0.4), "fiber"),
-            (in_port("a", "s"), mem_vertex("a")): (8.0, "drop"),
+            (out_port("s", "a"), ("node", "a")): (pytest.approx(0.4), "fiber"),
+            (("node", "a"), mem_vertex("a")): (8.0, "drop"),
         }
 
 
@@ -75,21 +75,23 @@ class TestGraphInvariants:
         adj_s = set(topology.neighbors(source))
         n = len(topology.node_ids)
 
-        expected_vertices = 1 + n + 2 * (two_l - deg[source])
+        # The generator, n memories, a switch per consumer and an output
+        # port per fiber that does not point at the source.
+        expected_vertices = 1 + n + (n - 1) + (two_l - deg[source])
         assert len(graph.vertices) == expected_vertices
 
         by_kind = {"fiber": 0, "transit": 0, "drop": 0}
         for e in graph.edges:
             by_kind[e.kind] += 1
         assert by_kind["fiber"] == two_l - deg[source]
-        # Pass-through at consumers (u-turns allowed, no out-port toward
-        # the source) plus the generator's out-port edges.
+        # One transit per output port: consumers have none toward the
+        # source, the generator has one per source link.
         expected_transit = sum(
-            deg[i] * (deg[i] - (1 if i in adj_s else 0))
+            deg[i] - (1 if i in adj_s else 0)
             for i in topology.node_ids if i != source
         ) + deg[source]
         assert by_kind["transit"] == expected_transit
-        assert by_kind["drop"] == (two_l - deg[source]) + 1
+        assert by_kind["drop"] == n
 
     @pytest.mark.parametrize("case", range(10))
     def test_port_direction_rules(self, case, default_loss):
@@ -99,8 +101,8 @@ class TestGraphInvariants:
         graph = build_routing_graph(topology, source, default_loss)
         vertices = set(graph.vertices)
         for v in vertices:
-            if v[0] == "in":
-                assert v[1] != source, "source must not own in-ports"
+            if v[0] == "node":
+                assert v[1] != source, "the generator is the source's switch"
             if v[0] == "out":
                 assert v[2] != source, "no out-port may face the source"
         for e in graph.edges:
@@ -113,20 +115,6 @@ class TestGraphInvariants:
                 assert e.weight_db == default_loss.wss_loss_db
             else:
                 assert e.weight_db > 0
-
-    def test_default_graph_keeps_u_turns(self, default_loss):
-        # Routes never take them (tests/test_routing.py checks that); the
-        # graph keeps them, which fixes its edge ids.
-        topology = PhysicalTopology(
-            name="tri",
-            nodes=(Node("s", 0.0, 0.0), Node("a", 1.0, 0.0), Node("b", 0.0, 1.0)),
-            links=(Link("s", "a", 1.0), Link("s", "b", 1.0), Link("a", "b", 1.0)),
-        )
-        graph = build_routing_graph(topology, "s", default_loss)
-        u_turns = [e for e in graph.edges
-                   if e.tail[0] == "in" and e.head[0] == "out"
-                   and e.tail[2] == e.head[2]]
-        assert u_turns, "u-turn pass-through expected by default"
 
     def test_unknown_source(self, two_node, default_loss):
         with pytest.raises(TopologyError):
@@ -160,8 +148,8 @@ def placements(draw):
 
 
 class TestGraphLayout:
-    """``build_routing_graph`` keeps the pinned port-by-port build's vertex
-    and edge order: edge ids are the router's tie-breakers."""
+    """``build_routing_graph`` keeps the pinned switch-by-switch build's
+    vertex and edge order: edge ids are the router's tie-breakers."""
 
     @pytest.mark.parametrize("wss", [0.0, 4.0, 8.0])
     @pytest.mark.parametrize("fiber", [0.0, 0.4])
@@ -170,13 +158,13 @@ class TestGraphLayout:
         topology, loss = bundled_topology(name), LossParams(fiber, wss)
         for source in topology.node_ids:
             assert _layout(build_routing_graph(topology, source, loss)) == _layout(
-                reference_routing_graph(topology, source, loss))
+                reference_switch_graph(topology, source, loss))
 
     @settings(max_examples=200, deadline=None)
     @given(placements())
     def test_random_topologies(self, placement):
         assert _layout(build_routing_graph(*placement)) == _layout(
-            reference_routing_graph(*placement))
+            reference_switch_graph(*placement))
 
     def test_graph_edge_shape(self):
         edge = GraphEdge(gen_vertex(), mem_vertex("a"), 8.0, "drop")
@@ -187,6 +175,34 @@ class TestGraphLayout:
                               "weight_db=8.0, kind='drop')")
         with pytest.raises(AttributeError):
             edge.weight_db = 0.0
+
+
+def _route_values(graph):
+    """Plan keys, infeasible pairs, and each plan's total and eta."""
+    table = all_pair_routes(graph)
+    return (list(table.plans), table.infeasible,
+            [(p.total_loss_db, p.eta) for p in table.plans.values()])
+
+
+class TestSwitchGraphMatchesPortGraph:
+    """Routing the switch-level graph gives bit for bit the totals, etas
+    and infeasible pairs of routing the port-level graph, with one input
+    port per incoming fiber, that it replaced."""
+
+    @pytest.mark.parametrize("wss", [0.0, 4.0, 8.0])
+    @pytest.mark.parametrize("fiber", [0.0, 0.4])
+    @pytest.mark.parametrize("name", ["simple6", "ilec17"])
+    def test_bundled_placements(self, name, fiber, wss):
+        topology, loss = bundled_topology(name), LossParams(fiber, wss)
+        for source in topology.node_ids:
+            assert _route_values(build_routing_graph(topology, source, loss)) == (
+                _route_values(reference_routing_graph(topology, source, loss)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(placements())
+    def test_random_topologies(self, placement):
+        assert _route_values(build_routing_graph(*placement)) == _route_values(
+            reference_routing_graph(*placement))
 
 
 class TestLossParams:
