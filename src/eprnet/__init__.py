@@ -7,14 +7,12 @@ from .allocation import (
     AllocationInstance,
     ExactResult,
     bezakova_matching,
-    channels_by_pair,
     exact_maxmin,
     first_fit,
     fractional_optimum,
     lp_round,
     modified_lpt,
     random_balanced,
-    received_rates,
     round_robin,
 )
 from .harness import (
@@ -78,9 +76,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Allocation", "AllocationError", "AllocationInstance", "ExactResult",
-    "bezakova_matching", "channels_by_pair", "exact_maxmin", "first_fit",
-    "fractional_optimum", "lp_round", "modified_lpt", "random_balanced",
-    "received_rates", "round_robin",
+    "bezakova_matching", "exact_maxmin", "first_fit", "fractional_optimum",
+    "lp_round", "modified_lpt", "random_balanced", "round_robin",
     "ALL_STRATEGIES", "ConfigError", "ExperimentConfig", "ExperimentReport",
     "SweepRow", "allocate_once", "config_from_json", "derive_seed", "emit_csv",
     "emit_plot", "read_csv_rows", "run_placement_sweep", "splitmix64",

@@ -19,8 +19,10 @@ Channel and pair indices are 0-based throughout.  Received rates are
 always computed the same way (per pair, the exactly rounded sum of its
 channel rates, ``math.fsum``, times its transmittance), so independently
 produced allocations with the same assignment compare bit-for-bit equal.
-``received_rates`` validates an assignment from outside the module; each
-strategy's own assignment is turned into rates once, without a re-check.
+``_finish`` is the one place that groups an assignment by pair; each
+strategy's own assignment is turned into rates there once, without a
+re-check.  The tests hold every strategy to an independent rate oracle
+(``tests/oracles.py::reference_received``).
 """
 
 from __future__ import annotations
@@ -85,38 +87,6 @@ class ExactResult:
     allocation: Allocation
     optimal: bool
     nodes_explored: int
-
-
-def received_rates(instance: AllocationInstance,
-                   assignment: Sequence[int]) -> tuple[float, ...]:
-    """Received rate of every pair under a total assignment.
-
-    Entry x of ``assignment`` names the pair owning channel x.  Pair sums
-    are exactly rounded (math.fsum), so a pair's rate depends only on
-    which channels it owns, never on their enumeration order.
-
-    Raises:
-        AllocationError: if the assignment's length is not the channel
-            count, or an entry is not a pair index in 0..k-1 (the
-            message names the first such channel).
-    """
-    k, m = instance.pair_count, instance.channel_count
-    dense = list(assignment)
-    if len(dense) != m:
-        raise AllocationError(f"assignment length {len(dense)} != channel count {m}")
-    for x, p in enumerate(dense):
-        if (not isinstance(p, (int, np.integer)) or isinstance(p, bool)
-                or not 0 <= p < k):
-            raise AllocationError(f"channel {x} assigned to invalid pair {p!r}")
-    return _finish(instance, dense).received
-
-
-def channels_by_pair(assignment: Sequence[int], pair_count: int) -> tuple[tuple[int, ...], ...]:
-    """Group channel indices by owning pair (ascending within each pair)."""
-    groups: list[list[int]] = [[] for _ in range(pair_count)]
-    for x, p in enumerate(assignment):
-        groups[p].append(x)
-    return tuple(tuple(g) for g in groups)
 
 
 def _pair_rates(etas: Sequence[float], owned: list[list[float]]) -> Iterator[float]:
@@ -614,30 +584,27 @@ def lp_round(instance: AllocationInstance) -> Allocation:
         boundaries.append(acc)
     boundaries.append(math.inf)  # last pair absorbs float drift
 
-    whole: list[list[int]] = [[] for _ in range(k)]
-    shared: list[tuple[int, list[int]]] = []
+    # A channel inside one span goes to its pair at once; the straddling
+    # ones wait until every floor is summed (in ascending channel order).
+    assign = [-1] * m
+    floor_rate = [0.0] * k
+    shared: list[tuple[int, range]] = []
     p = 0
     lo_edge = 0.0
     for x in range(m):
         hi_edge = lo_edge + n[x]
         while p < k - 1 and boundaries[p] <= lo_edge:
             p += 1
-        claimants = [p]
+        first = p
         while p < k - 1 and boundaries[p] < hi_edge:
             p += 1
-            claimants.append(p)
-        if len(claimants) == 1:
-            whole[p].append(x)
+        if p == first:
+            assign[x] = p
+            floor_rate[p] += instance.etas[p] * n[x]
         else:
-            shared.append((x, claimants))
+            shared.append((x, range(first, p + 1)))
         lo_edge = hi_edge
 
-    assign = [-1] * m
-    floor_rate = [0.0] * k
-    for q in range(k):
-        for x in whole[q]:
-            assign[x] = q
-            floor_rate[q] += instance.etas[q] * n[x]
     for x, claimants in shared:
         winner = min(claimants, key=lambda q: (floor_rate[q], q))
         assign[x] = winner

@@ -14,7 +14,7 @@ import argparse
 import dataclasses
 import sys
 
-from .allocation import AllocationInstance, channels_by_pair
+from .allocation import AllocationInstance
 from .harness import (
     ALL_STRATEGIES,
     ConfigError,
@@ -119,8 +119,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
             print(f"  route {label} ({db:.4f} dB): {hops}")
         return 0
     print(f"{'pair':>10} {'loss_dB':>10} {'transmittance':>14}")
-    for pair in sorted(table.plans):
-        plan = table.plans[pair]
+    for pair, plan in table.plans.items():
         print(f"{pair[0] + '-' + pair[1]:>10} {plan.total_loss_db:>10.4f} "
               f"{plan.eta:>14.6g}")
     for pair in table.infeasible:
@@ -136,15 +135,13 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
         return 1
     grid, profile = _grid_from_args(args)
     rates = generation_rates(grid, profile)
-    pairs = sorted(table.plans)
     instance = AllocationInstance(
-        tuple(table.plans[p].eta for p in pairs), rates)
+        tuple(plan.eta for plan in table.plans.values()), rates)
     allocation, completed = allocate_once(instance, args.strategy, seed=args.seed,
                                           node_budget=args.node_budget)
     print(f"{'pair':>10} {'channels':>9} {'received':>12}")
-    owned = channels_by_pair(allocation.assignment, len(pairs))
-    for q, pair in enumerate(pairs):
-        print(f"{pair[0] + '-' + pair[1]:>10} {len(owned[q]):>9} "
+    for q, pair in enumerate(table.plans):
+        print(f"{pair[0] + '-' + pair[1]:>10} {allocation.assignment.count(q):>9} "
               f"{allocation.received[q]:>12.6g}")
     print(f"minimum rate: {allocation.min_rate:.6g}")
     print(f"jain index:   {jain_index(allocation.received):.6g}")

@@ -79,7 +79,7 @@ def _pair_order(instance: AllocationInstance, seed: int | None
     if seed is None:
         return None
     rng = np.random.Generator(np.random.PCG64(seed))
-    return tuple(int(p) for p in rng.permutation(instance.pair_count))
+    return tuple(rng.permutation(instance.pair_count).tolist())
 
 
 _MASK64 = (1 << 64) - 1
@@ -303,7 +303,7 @@ def run_placement_sweep(config: ExperimentConfig) -> ExperimentReport:
                     for strategy in config.strategies
                 )
                 continue
-            etas = tuple(table.plans[pair].eta for pair in sorted(table.plans))
+            etas = tuple(plan.eta for plan in table.plans.values())
             instance = AllocationInstance(etas, rates)
             for strategy_idx, strategy in enumerate(config.strategies):
                 rows.append(_run_strategy(

@@ -77,7 +77,11 @@ class RoutePlan:
 
 @dataclass(frozen=True)
 class RouteTable:
-    """Routes for every node pair of one source placement."""
+    """Routes for every node pair of one source placement.
+
+    ``plans`` holds the pairs in sorted name order, the order in which
+    allocation instances number them.
+    """
 
     source: str
     plans: dict[tuple[str, str], RoutePlan]

@@ -2,9 +2,12 @@
 
 Everything here is written against the problem statements, not against
 the library internals, so agreement between the two is evidence of
-correctness rather than of shared bugs.  Some exceptions pin tie rules
-and rounding rather than values: the unpruned exact search, which holds
-the branch and bound to the very same assignment; the channel-by-channel
+correctness rather than of shared bugs.  ``reference_received`` turns an
+assignment into received rates straight from the definition, and every
+pinned heuristic below builds its allocation with it, so no check compares
+the library's rates with the library's own rate code.  Some exceptions
+pin tie rules and rounding rather than values: the unpruned exact search,
+which holds the branch and bound to the very same assignment; the channel-by-channel
 first-fit walk, the min-scan LPT and the Hall-bisecting matching rounds,
 the library's earlier forms of those heuristics, kept to hold the faster
 ones to the very same allocations; and the per-pair router at the end,
@@ -42,7 +45,6 @@ from eprnet import (
     mem_vertex,
     modified_lpt,
     out_port,
-    received_rates,
     transmittance,
 )
 
@@ -234,6 +236,26 @@ def lp_fractional_search(etas: Sequence[float], rates: Sequence[float]) -> float
     return res.x[-1] / scale
 
 
+# --- received rates ---------------------------------------------------------
+
+
+def reference_received(instance: AllocationInstance,
+                       assignment: Sequence[int]) -> tuple[float, ...]:
+    """Each pair's received rate: its eta times the sum of its channels' rates.
+
+    ``assignment`` must name a pair index, a plain int in 0..k-1, for every
+    one of the m channels.  Sums are exactly rounded (``math.fsum``), so
+    they do not depend on the order the channels are listed in.
+    """
+    k, m = instance.pair_count, instance.channel_count
+    n = list(instance.rates)
+    assert len(assignment) == m, f"{len(assignment)} entries for {m} channels"
+    for x, p in enumerate(assignment):
+        assert type(p) is int and 0 <= p < k, f"channel {x} assigned to {p!r}"
+    return tuple(eta * math.fsum(n[x] for x in range(m) if assignment[x] == p)
+                 for p, eta in enumerate(instance.etas))
+
+
 # --- unpruned exact search -------------------------------------------------
 #
 # The library's branch and bound without any bound: the same seeding, the
@@ -298,7 +320,7 @@ def reference_exact_dfs(instance: AllocationInstance,
 
 def _allocation(instance: AllocationInstance, assign) -> Allocation:
     dense = tuple(int(p) for p in assign)
-    return Allocation(dense, received_rates(instance, dense))
+    return Allocation(dense, reference_received(instance, dense))
 
 
 def reference_first_fit(instance: AllocationInstance,

@@ -9,7 +9,8 @@ import pytest
 from eprnet.cli import main
 from eprnet.harness import read_csv_rows
 
-RING4 = Path(__file__).resolve().parent / "golden" / "ring4.json"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+RING4 = GOLDEN / "ring4.json"
 
 
 def run(capsys, *argv):
@@ -235,6 +236,19 @@ class TestAllocate:
         with pytest.raises(SystemExit):
             main(["allocate", "--topology", "simple6", "--source", "A",
                   "--strategy", "greedy"])
+
+    def test_tables_match_golden(self, capsys):
+        # The paper's seven strategies, channel-count column included.
+        out = ""
+        for strategy in ("exact", "first-fit", "round-robin", "random", "lpt",
+                         "bd-matching", "lp-round"):
+            code, text, _ = run(capsys, "allocate", "--topology", "simple6",
+                                "--source", "A", "--strategy", strategy,
+                                "--seed", "3", "--channels", "32",
+                                "--node-budget", "5000")
+            assert code == 0
+            out += text
+        assert out.encode() == (GOLDEN / "allocate-simple6-A.txt").read_bytes()
 
 
 class TestSweep:

@@ -37,13 +37,13 @@ def test_public_api_is_pinned():
         "allocate_once", "bezakova_matching",
         "build_routing_graph", "bundled_topology", "channel_bandwidth",
         "channel_center_frequency", "channel_center_wavelength",
-        "channels_by_pair", "config_from_json", "derive_seed", "emit_csv",
+        "config_from_json", "derive_seed", "emit_csv",
         "emit_plot", "exact_maxmin", "first_fit", "fractional_optimum",
         "gen_vertex", "generation_rates", "jain_index",
         "link_distance", "load_topology", "lp_round", "mem_vertex",
         "modified_lpt", "normalization_reference",
         "normalized_min_rate", "out_port", "random_balanced", "read_csv_rows",
-        "received_rates", "round_robin", "route_nodes",
+        "round_robin", "route_nodes",
         "run_placement_sweep", "splitmix64", "topology_from_dict",
         "transmittance",
     ]
