@@ -50,7 +50,6 @@ from .netgraph import (
     link_distance,
     load_topology,
     mem_vertex,
-    out_port,
     topology_from_dict,
     transmittance,
 )
@@ -85,7 +84,7 @@ __all__ = [
     "normalized_min_rate",
     "GraphEdge", "Link", "LossParams", "Node", "PhysicalTopology",
     "RoutingGraph", "TopologyError", "build_routing_graph", "bundled_topology",
-    "gen_vertex", "link_distance", "load_topology", "mem_vertex", "out_port",
+    "gen_vertex", "link_distance", "load_topology", "mem_vertex",
     "topology_from_dict", "transmittance",
     "RoutePlan", "RouteTable", "RoutingError", "all_pair_routes",
     "route_nodes",

@@ -32,6 +32,7 @@ import heapq
 import math
 import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -239,7 +240,8 @@ def exact_maxmin(
             # remaining mass (water-filling), and each pair's share must
             # fit in its own channels (channel count).
             shorts = [g - w for g, w in zip(goals, mass) if g > w]
-            if sum(shorts) <= prefix[m] - prefix[t]:
+            # Left to right: builtin sum() compensates from Python 3.12 on.
+            if reduce(operator.add, shorts, 0.0) <= prefix[m] - prefix[t]:
                 base = prefix[t]
                 channels = sum(bisect.bisect_left(prefix, base + s, t + 1)
                                for s in shorts)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 from .allocation import AllocationInstance
@@ -115,7 +116,8 @@ def _cmd_route(args: argparse.Namespace) -> int:
               f"transmittance {plan.eta:.6g}")
         for label, path in (("A", plan.path_a), ("B", plan.path_b)):
             hops = " -> ".join(route_nodes(graph, path))
-            db = sum(graph.edges[eid].weight_db for eid in path)
+            edges = [graph.edges[eid] for eid in path]
+            db = math.fsum([e.switch_db for e in edges] + [e.fiber_db for e in edges])
             print(f"  route {label} ({db:.4f} dB): {hops}")
         return 0
     print(f"{'pair':>10} {'loss_dB':>10} {'transmittance':>14}")

@@ -2,31 +2,39 @@
 
 A physical topology is an undirected graph of sites joined by fiber links.
 For a chosen source site the topology expands into a directed graph whose
-vertices are switches, output ports and quantum memories:
+vertices are switches and quantum memories:
 
 * ``("gen",)`` - the photon-pair generator, colocated with the source; it
   is the source's switch;
 * ``("mem", i)`` - node i's quantum memory, where photons terminate;
-* ``("node", i)`` - consumer i's switch, where every fiber into i ends;
-* ``("out", i, j)`` - node i's output port for the fiber departing to j.
+* ``("node", i)`` - consumer i's switch, where every fiber into i ends.
 
-Edge weights are losses in dB, so shortest paths are minimum-loss routes.
-Every photon leaving a node traverses two wavelength-selective switches
-(one demux, one mux), while a photon dropped into the local memory passes
-only one; fiber spans lose ``fiber_loss_db_per_km`` per km.  The source
-never relays foreign photons, so no fiber edge points toward it;
-consequently consumer output ports facing the source are never created
-(they could carry no traffic).
+Edge losses are in dB, split by element, so shortest paths are minimum-loss
+routes.  A ``"fiber"`` edge ``switch(a) -> switch(b)`` is one hop: out
+through two wavelength-selective switches (one demux, one mux), ``switch_db
+= 2 * wss``, then over the span, ``fiber_db`` = ``fiber_loss_db_per_km`` per
+km.  A ``"drop"`` edge into the local memory passes one switch: ``(wss,
+0.0)``.  The source never relays foreign photons, so no fiber edge points
+toward it.
 
-One switch vertex per consumer is exact.  A graph with one input port
-``in(i, j)`` per incoming fiber would link it to every output port of i
-at ``2 * wss`` and to i's memory at ``wss``, whatever j is, and its only
-in-edge would be the fiber from j.  So each path through such ports maps
-onto a path through ``node(i)`` with the same multiset of edge weights,
-and so the same ``math.fsum`` total, and back.  Edge-disjointness maps
-too: paths that share an edge out of ``in(i, j)`` share the fiber into
-it, paths that share ``node(i) -> out(i, k)`` share the fiber i -> k out
-of it, and a drop edge ends a path at its own memory.
+Routing this graph gives bit for bit the losses of routing a port graph,
+where consumer i has an input port ``in(i, j)`` per incoming fiber, linked
+to each output port ``out(i, k)`` at ``2 * wss`` and to mem(i) at ``wss``,
+and ``out(i, k)`` to ``in(k, i)`` by the fiber:
+
+* ``in(i, j)``'s only in-edge is the fiber from j, and its out-edges do not
+  depend on j, so paths through input ports map onto paths through
+  ``node(i)`` with the same edges, and back.  Paths sharing an edge out of
+  ``in(i, j)`` share the fiber into it, so edge-disjointness maps too.
+* ``out(i, k)`` has one in-edge and one out-edge, so a path takes both or
+  neither.  Relaxing ``d + switch_db + fiber_db`` left to right gives k the
+  float ``(d + 2 * wss) + fiber`` the port gave it in two steps.  The port's
+  switch arc has reduced cost ``(d + 2 * wss) - dist[out]``, exactly 0, and
+  its fiber arc ``fiber + (d + 2 * wss) - dist[k]``, which the hop's fields
+  give again.  A plan's total, ``math.fsum`` over both fields of its edges,
+  only adds zeros to the port edges' losses.
+
+Routes that tie on loss may still take other hops: edge ids break ties.
 """
 
 from __future__ import annotations
@@ -250,21 +258,18 @@ def mem_vertex(node_id: str) -> Vertex:
     return ("mem", node_id)
 
 
-def out_port(node_id: str, neighbor_id: str) -> Vertex:
-    return ("out", node_id, neighbor_id)
-
-
 class GraphEdge(NamedTuple):
-    """One directed loss edge; ``kind`` names the physical element.
+    """One directed loss edge; its losses are split by element.
 
-    fiber: a fiber span (weight = fiber loss/km * distance)
-    transit: through two switches (generator launch or node pass-through)
-    drop: through one switch into a memory
+    fiber: one hop, out through two switches (``switch_db``) and over a
+        fiber span (``fiber_db`` = fiber loss/km * distance)
+    drop: through one switch into a memory (``fiber_db`` = 0.0)
     """
 
     tail: Vertex
     head: Vertex
-    weight_db: float
+    switch_db: float
+    fiber_db: float
     kind: str
 
 
@@ -279,41 +284,29 @@ class RoutingGraph:
 
 def build_routing_graph(topology: PhysicalTopology, source: str,
                         loss: LossParams) -> RoutingGraph:
-    """Expand a topology into the directed loss graph for one source.
-
-    Args:
-        topology: physical fiber network.
-        source: id of the site hosting the generator.
-        loss: loss model constants.
-
-    Returns:
-        RoutingGraph with deterministic vertex and edge ordering.
-    """
+    """Expand a topology into the directed loss graph for one source, the
+    site hosting the generator.  Vertex and edge order are deterministic:
+    edge ids break the router's ties."""
     topology.node(source)
     node_ids = topology.node_ids
-    mems = {i: mem_vertex(i) for i in node_ids}
-    # Each vertex tuple is made once and shared by all edges at it.  Output
-    # ports exist only where the outgoing fiber exists; fibers never point
-    # at the source, so ports facing it are omitted everywhere.
+    # Each vertex tuple is made once and shared by all edges at it.
     switches = {i: ("node", i) for i in node_ids}
     switches[source] = gen_vertex()
-    outs = {i: {j: out_port(i, j) for j in topology.neighbors(i) if j != source}
-            for i in node_ids}
+    mems = {i: mem_vertex(i) for i in node_ids}
     vertices = [switches[source], *mems.values()]
     vertices += [switches[i] for i in node_ids if i != source]
-    for ports in outs.values():
-        vertices.extend(ports.values())
 
+    fiber_db: dict[tuple[str, str], float] = {}
+    for link in topology.links:
+        db = loss.fiber_loss_db_per_km * link_distance(topology, link.a, link.b)
+        fiber_db[link.a, link.b] = fiber_db[link.b, link.a] = db
+    # Each switch's hops in neighbour order, then its drop; fibers never
+    # point at the source.
     edges: list[GraphEdge] = []
     wss, transit_db = loss.wss_loss_db, 2 * loss.wss_loss_db
-    for link in sorted(topology.links, key=lambda l: tuple(sorted((l.a, l.b)))):
-        fiber_db = loss.fiber_loss_db_per_km * link_distance(topology, link.a, link.b)
-        for tail_node, head_node in ((link.a, link.b), (link.b, link.a)):
-            if head_node != source:
-                edges.append(GraphEdge(outs[tail_node][head_node],
-                                       switches[head_node], fiber_db, "fiber"))
     for i, switch in switches.items():
-        edges += [GraphEdge(switch, q, transit_db, "transit") for q in outs[i].values()]
-        edges.append(GraphEdge(switch, mems[i], wss, "drop"))
+        edges += [GraphEdge(switch, switches[k], transit_db, fiber_db[i, k], "fiber")
+                  for k in topology.neighbors(i) if k != source]
+        edges.append(GraphEdge(switch, mems[i], wss, 0.0, "drop"))
 
     return RoutingGraph(source, tuple(vertices), tuple(edges))

@@ -55,9 +55,9 @@ from typing import Sequence
 
 from .netgraph import RoutingGraph, gen_vertex, transmittance
 
-# (edge marker, head, weight); a marker is an edge id, or ~eid for the
-# reversal of first-path edge eid.
-_Arc = tuple[int, int, float]
+# (edge marker, head, switch_db, fiber_db); a marker is an edge id, or ~eid
+# for the reversal of first-path edge eid.  Second passes use (cost, 0.0).
+_Arc = tuple[int, int, float, float]
 
 
 class RoutingError(ValueError):
@@ -93,8 +93,9 @@ def _dijkstra(adjacency: Sequence[Sequence[_Arc]], start: int
     """Distances, predecessor markers and pop order from ``start``.
 
     The pass runs until the heap is empty, so exactly the vertices with a
-    finite distance are popped.  Weights must be non-negative; then a
-    popped vertex's predecessor chain is final the moment it is popped.
+    finite distance are popped.  An arc adds ``switch_db + fiber_db`` left
+    to right.  Losses must be non-negative; then a popped vertex's
+    predecessor chain is final the moment it is popped.
     """
     n = len(adjacency)
     dist = [math.inf] * n
@@ -109,8 +110,8 @@ def _dijkstra(adjacency: Sequence[Sequence[_Arc]], start: int
         if d > dist[u]:
             continue
         order.append(u)
-        for marker, head, weight in adjacency[u]:
-            nd = d + weight
+        for marker, head, switch_db, fiber_db in adjacency[u]:
+            nd = d + switch_db + fiber_db
             if nd < dist[head]:
                 dist[head] = nd
                 pred[head] = marker
@@ -185,32 +186,34 @@ def all_pair_routes(graph: RoutingGraph) -> RouteTable:
         raise RoutingError("a vertex is listed more than once")
     if gen_vertex() not in index:
         raise RoutingError(f"no generator vertex {gen_vertex()!r}")
-    tail_vs, head_vs, weights, _ = zip(*graph.edges) if graph.edges else ((),) * 4
+    tail_vs, head_vs, switch_dbs, fiber_dbs, _ = (
+        zip(*graph.edges) if graph.edges else ((),) * 5)
     try:
         tails = list(map(index.__getitem__, tail_vs))
         heads = list(map(index.__getitem__, head_vs))
     except KeyError as exc:
         raise RoutingError(f"edge endpoint {exc.args[0]!r} is not a vertex") from None
-    for eid, weight in enumerate(weights):
-        # Built graphs hold floats; the ABC check alone would take a
-        # tenth of the routing time.
-        real = type(weight) is float or (
-            isinstance(weight, numbers.Real) and not isinstance(weight, bool))
-        if not (real and 0.0 <= weight < math.inf):
-            raise RoutingError(f"edge {eid} has invalid weight {weight!r}")
+    for field, losses in (("switch_db", switch_dbs), ("fiber_db", fiber_dbs)):
+        for eid, db in enumerate(losses):
+            # Built graphs hold floats, which skip the slow ABC check.
+            real = type(db) is float or (
+                isinstance(db, numbers.Real) and not isinstance(db, bool))
+            if not (real and 0.0 <= db < math.inf):
+                raise RoutingError(f"edge {eid} has invalid {field} {db!r}")
     n, src = len(index), index[gen_vertex()]
     adjacency: list[list[_Arc]] = [[] for _ in range(n)]
-    for eid, (tail, head, weight) in enumerate(zip(tails, heads, weights)):
-        adjacency[tail].append((eid, head, weight))
+    for eid, tail in enumerate(tails):
+        adjacency[tail].append((eid, heads[eid], switch_dbs[eid], fiber_dbs[eid]))
     dist, pred, order = _dijkstra(adjacency, src)
-    # Reduced costs, clamped at 0, of the edges between reached vertices.
+    # Reduced costs, clamped at 0, of the edges between reached vertices,
+    # summed in the order that ``netgraph`` shows exact.
     reduced: list[list[_Arc]] = [[] for _ in range(n)]
     for tail, dt in enumerate(dist):
         if dt < math.inf:
-            for eid, head, weight in adjacency[tail]:
+            for eid, head, switch_db, fiber_db in adjacency[tail]:
                 if dist[head] < math.inf:
-                    cost = weight + dt - dist[head]
-                    reduced[tail].append((eid, head, cost if cost > 0.0 else 0.0))
+                    cost = fiber_db + (dt + switch_db) - dist[head]
+                    reduced[tail].append((eid, head, cost if cost > 0.0 else 0.0, 0.0))
 
     names = {pos: v[1] for v, pos in index.items() if v[0] == "mem"}
     popped = [v for v in order if v in names]  # reachable memories
@@ -222,7 +225,7 @@ def all_pair_routes(graph: RoutingGraph) -> RouteTable:
         for eid in first:
             tail, head = tails[eid], heads[eid]
             residual[tail] = [arc for arc in residual[tail] if arc[0] != eid]
-            residual[head] = residual[head] + [(~eid, tail, 0.0)]
+            residual[head] = residual[head] + [(~eid, tail, 0.0, 0.0)]
         dist2, pred2, _ = _dijkstra(residual, src)
         for other in popped[k + 1:]:
             if dist2[other] < math.inf:
@@ -240,7 +243,8 @@ def all_pair_routes(graph: RoutingGraph) -> RouteTable:
         if paths is None:
             infeasible.append(pair)
             continue
-        total = math.fsum(weights[eid] for path in paths for eid in path)
+        total = math.fsum(losses[eid] for losses in (switch_dbs, fiber_dbs)
+                          for path in paths for eid in path)
         plans[pair] = RoutePlan(pair=pair, path_a=paths[0], path_b=paths[1],
                                 total_loss_db=total, eta=transmittance(total))
     return RouteTable(graph.source, plans, tuple(infeasible))

@@ -12,12 +12,12 @@ first-fit walk, the min-scan LPT and the Hall-bisecting matching rounds,
 the library's earlier forms of those heuristics, kept to hold the faster
 ones to the very same allocations; and the per-pair router at the end,
 the library's earlier, simpler router, kept to hold the faster one to the
-very same routes; and the switch-by-switch graph build, written one
-vertex tuple per use, kept to hold ``build_routing_graph`` to the very
-same vertex and edge order, since edge ids break the router's ties.  The
-port-level graph build, the library's earlier form of
-``build_routing_graph`` with one input port per incoming fiber, is an
-oracle of values: routing it must give the same totals and etas.
+very same routes; and the hop-by-hop graph build, written one vertex
+tuple per use, kept to hold ``build_routing_graph`` to the very same
+vertex and edge order, since edge ids break the router's ties.  The
+port-level graph build, an earlier form of ``build_routing_graph`` with a
+vertex per input and output port, is an oracle of values: routing it
+must give the same totals and etas.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from eprnet import (
     link_distance,
     mem_vertex,
     modified_lpt,
-    out_port,
     transmittance,
 )
 
@@ -157,6 +156,18 @@ def best_disjoint_total(edges: Sequence[EdgeTriple], src: Hashable,
 
     extend(src, 0.0)
     return best
+
+
+def element_edges(graph: RoutingGraph) -> list[EdgeTriple]:
+    """One triple per loss element: edge eid becomes ``tail -> ("elem",
+    eid)`` at its switch loss and ``("elem", eid) -> head`` at its fiber
+    loss.  A path takes both halves or neither, so disjoint paths and the
+    losses summed along them are those of the graph."""
+    edges = []
+    for eid, e in enumerate(graph.edges):
+        mid = ("elem", eid)
+        edges += [(e.tail, mid, e.switch_db), (mid, e.head, e.fiber_db)]
+    return edges
 
 
 def enumerate_best_min(etas: Sequence[float], rates: Sequence[float]) -> float:
@@ -484,7 +495,9 @@ def reference_matching_rounds(instance: AllocationInstance, *,
 # Tuple vertices, a materialized dummy terminal, and both Suurballe passes
 # rerun for every pair.  It is slow but simple, and it fixes every tie
 # rule, so the shared first-pass router must return the very same paths,
-# not just the totals.
+# not just the totals.  Edges are (tail, head, switch_db, fiber_db), and
+# each sum is written in the order that keeps a hop's float distances and
+# reduced costs those of its switch and fiber arcs in a port-level graph.
 
 
 def _ref_dijkstra(adjacency, edges, start):
@@ -499,8 +512,8 @@ def _ref_dijkstra(adjacency, edges, start):
             continue
         done.add(u)
         for eid in adjacency.get(u, ()):
-            head, weight = edges[eid][1], edges[eid][2]
-            nd = d + weight
+            _, head, switch_db, fiber_db = edges[eid]
+            nd = d + switch_db + fiber_db
             if head not in dist or nd < dist[head]:
                 dist[head] = nd
                 pred[head] = eid
@@ -523,7 +536,7 @@ def _ref_backtrack(pred, edges, start, end):
 def reference_suurballe(edges, src, dst):
     """Both src->dst paths as edge-id tuples (walk order), or None."""
     adjacency = {}
-    for eid, (tail, _, _) in enumerate(edges):
+    for eid, (tail, *_) in enumerate(edges):
         adjacency.setdefault(tail, []).append(eid)
     dist, pred = _ref_dijkstra(adjacency, edges, src)
     if dst not in dist:
@@ -533,17 +546,18 @@ def reference_suurballe(edges, src, dst):
 
     red_edges = []
     red_ids = []  # real edge id, or -(eid+1) for a reversal
-    for eid, (tail, head, weight) in enumerate(edges):
+    for eid, (tail, head, switch_db, fiber_db) in enumerate(edges):
         if eid in on_first or tail not in dist or head not in dist:
             continue
-        red_edges.append((tail, head, max(0.0, weight + dist[tail] - dist[head])))
+        cost = fiber_db + (dist[tail] + switch_db) - dist[head]
+        red_edges.append((tail, head, max(0.0, cost), 0.0))
         red_ids.append(eid)
     for eid in first_path:
-        tail, head, _ = edges[eid]
-        red_edges.append((head, tail, 0.0))
+        tail, head, *_ = edges[eid]
+        red_edges.append((head, tail, 0.0, 0.0))
         red_ids.append(-(eid + 1))
     red_adj = {}
-    for pos, (tail, _, _) in enumerate(red_edges):
+    for pos, (tail, *_) in enumerate(red_edges):
         red_adj.setdefault(tail, []).append(pos)
     dist2, pred2 = _ref_dijkstra(red_adj, red_edges, src)
     if dst not in dist2:
@@ -575,15 +589,15 @@ def reference_pair_route(graph: RoutingGraph, i: str, j: str) -> RoutePlan | Non
     """Disjoint light paths for (i, j), routed on their own from scratch."""
     a, b = sorted((i, j))
     dummy = ("dummy",)
-    edges = [(e.tail, e.head, e.weight_db) for e in graph.edges]
-    edges.append((mem_vertex(a), dummy, 0.0))
-    edges.append((mem_vertex(b), dummy, 0.0))
+    edges = [(e.tail, e.head, e.switch_db, e.fiber_db) for e in graph.edges]
+    edges.append((mem_vertex(a), dummy, 0.0, 0.0))
+    edges.append((mem_vertex(b), dummy, 0.0, 0.0))
     paths = reference_suurballe(edges, gen_vertex(), dummy)
     if paths is None:
         return None
     bodies = {edges[path[-1]][0]: path[:-1] for path in paths}
-    total = math.fsum(graph.edges[eid].weight_db
-                      for body in bodies.values() for eid in body)
+    total = math.fsum(db for body in bodies.values() for eid in body
+                      for db in edges[eid][2:])
     return RoutePlan((a, b), bodies[mem_vertex(a)], bodies[mem_vertex(b)],
                      total, transmittance(total))
 
@@ -605,15 +619,16 @@ def reference_route_table(graph: RoutingGraph) -> RouteTable:
 
 # --- graph builds ----------------------------------------------------------
 #
-# Every vertex and edge made one tuple per use: the switch-level build in
-# the order the router's edge ids and tie rules are fixed against, and the
-# port-level build the switch vertices replaced.
+# Every vertex and edge made one tuple per use: the hop-level build in the
+# order the router's edge ids and tie rules are fixed against, and the
+# port-level build whose values the hop edges must keep.
 
 
-def reference_switch_graph(topology: PhysicalTopology, source: str,
-                           loss: LossParams) -> RoutingGraph:
+def reference_hop_graph(topology: PhysicalTopology, source: str,
+                        loss: LossParams) -> RoutingGraph:
     """The loss graph for one source: one switch vertex per consumer, with
-    the generator as the source's switch."""
+    the generator as the source's switch, one edge per directed fiber and
+    one drop edge per node."""
     topology.node(source)
     node_ids = topology.node_ids
 
@@ -623,27 +638,16 @@ def reference_switch_graph(topology: PhysicalTopology, source: str,
     vertices = [gen_vertex()]
     vertices.extend(mem_vertex(n) for n in node_ids)
     vertices.extend(switch(i) for i in node_ids if i != source)
-    for i in node_ids:
-        vertices.extend(
-            out_port(i, j) for j in topology.neighbors(i) if j != source
-        )
 
     edges = []
     wss = loss.wss_loss_db
-    for link in sorted(topology.links, key=lambda l: tuple(sorted((l.a, l.b)))):
-        dist = link_distance(topology, link.a, link.b)
-        fiber_db = loss.fiber_loss_db_per_km * dist
-        for tail_node, head_node in ((link.a, link.b), (link.b, link.a)):
-            if head_node == source:
-                continue
-            edges.append(GraphEdge(out_port(tail_node, head_node),
-                                   switch(head_node), fiber_db, "fiber"))
     for i in node_ids:
         for k in topology.neighbors(i):
             if k != source:
-                edges.append(GraphEdge(switch(i), out_port(i, k), 2 * wss,
-                                       "transit"))
-        edges.append(GraphEdge(switch(i), mem_vertex(i), wss, "drop"))
+                fiber_db = loss.fiber_loss_db_per_km * link_distance(topology, i, k)
+                edges.append(GraphEdge(switch(i), switch(k), 2 * wss, fiber_db,
+                                       "fiber"))
+        edges.append(GraphEdge(switch(i), mem_vertex(i), wss, 0.0, "drop"))
 
     return RoutingGraph(source, tuple(vertices), tuple(edges))
 
@@ -652,13 +656,17 @@ def reference_routing_graph(topology: PhysicalTopology, source: str,
                             loss: LossParams) -> RoutingGraph:
     """The port-level loss graph for one source: consumer i has an input
     port ``("in", i, j)`` per incoming fiber, linked to each of i's output
-    ports and to i's memory."""
+    ports ``("out", i, k)`` and to i's memory.  Each edge holds one
+    element's loss, in its own field, and 0.0 in the other."""
     topology.node(source)
     node_ids = topology.node_ids
     consumers = [n for n in node_ids if n != source]
 
     def in_port(i, j):
         return ("in", i, j)
+
+    def out_port(i, j):
+        return ("out", i, j)
 
     vertices = [gen_vertex()]
     vertices.extend(mem_vertex(n) for n in node_ids)
@@ -679,7 +687,7 @@ def reference_routing_graph(topology: PhysicalTopology, source: str,
                 continue
             edges.append(
                 GraphEdge(out_port(tail_node, head_node),
-                          in_port(head_node, tail_node), fiber_db, "fiber")
+                          in_port(head_node, tail_node), 0.0, fiber_db, "fiber")
             )
     for i in consumers:
         nbrs = topology.neighbors(i)
@@ -687,13 +695,13 @@ def reference_routing_graph(topology: PhysicalTopology, source: str,
             for k in nbrs:
                 if k == source:
                     continue
-                edges.append(
-                    GraphEdge(in_port(i, j), out_port(i, k), 2 * wss, "transit")
-                )
+                edges.append(GraphEdge(in_port(i, j), out_port(i, k), 2 * wss,
+                                       0.0, "transit"))
         for j in nbrs:
-            edges.append(GraphEdge(in_port(i, j), mem_vertex(i), wss, "drop"))
+            edges.append(GraphEdge(in_port(i, j), mem_vertex(i), wss, 0.0, "drop"))
     for j in topology.neighbors(source):
-        edges.append(GraphEdge(gen_vertex(), out_port(source, j), 2 * wss, "transit"))
-    edges.append(GraphEdge(gen_vertex(), mem_vertex(source), wss, "drop"))
+        edges.append(GraphEdge(gen_vertex(), out_port(source, j), 2 * wss, 0.0,
+                               "transit"))
+    edges.append(GraphEdge(gen_vertex(), mem_vertex(source), wss, 0.0, "drop"))
 
     return RoutingGraph(source, tuple(vertices), tuple(edges))

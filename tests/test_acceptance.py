@@ -49,6 +49,7 @@ from eprnet import (
 from conftest import ACCEPTANCE_LINES
 from oracles import (
     best_disjoint_total,
+    element_edges,
     enumerate_best_min,
     lp_fractional_search,
     reference_received,
@@ -165,7 +166,7 @@ def test_disjoint_routing_matches_exhaustive_search():
             loss = LossParams(0.4, rng.choice([4.0, 8.0]))
             graph = build_routing_graph(topology, source, loss)
             table = all_pair_routes(graph)
-            edges = [(e.tail, e.head, e.weight_db) for e in graph.edges]
+            edges = element_edges(graph)
             for a, b in itertools.combinations(sorted(topology.node_ids), 2):
                 ext = edges + [(mem_vertex(a), "end", 0.0),
                                (mem_vertex(b), "end", 0.0)]
@@ -310,7 +311,7 @@ def test_fairness_metric_properties():
         brute = None
         for source in topology.node_ids:
             graph = build_routing_graph(topology, source, loss)
-            edges = [(e.tail, e.head, e.weight_db) for e in graph.edges]
+            edges = element_edges(graph)
             for a, b in itertools.combinations(sorted(topology.node_ids), 2):
                 ext = edges + [(mem_vertex(a), "end", 0.0),
                                (mem_vertex(b), "end", 0.0)]

@@ -1,3 +1,4 @@
+import builtins
 import functools
 import math
 import random
@@ -31,6 +32,7 @@ from eprnet import (
     random_balanced,
     round_robin,
 )
+import eprnet.allocation
 from eprnet.allocation import _finish, _matching_rounds
 from oracles import (
     enumerate_best_min,
@@ -314,6 +316,29 @@ class TestExactMaxmin:
                            node_budget=config.exact_node_budget)
         assert res.optimal
         assert res.nodes_explored < 10_000
+
+    def test_sums_no_floats_with_builtin_sum(self, monkeypatch):
+        # Builtin sum() compensates float rounding from Python 3.12 on, so
+        # a float sum through it would make pruning, nodes_explored and a
+        # budget-stopped result depend on the Python version.
+        def int_sum(values, start=0):
+            values = list(values)
+            assert all(type(v) is int for v in values), values
+            return builtins.sum(values, start)
+
+        monkeypatch.setattr(eprnet.allocation, "sum", int_sum, raising=False)
+        # The instance of tests/golden/allocate-simple6-A.txt: it stops at
+        # its node budget.
+        graph = build_routing_graph(load_topology("simple6"), "A",
+                                    LossParams(0.4, 8.0))
+        etas = tuple(p.eta for p in all_pair_routes(graph).plans.values())
+        config = ExperimentConfig(topology_path="simple6", seed=3, channels=32)
+        inst = AllocationInstance(etas, generation_rates(config.grid(),
+                                                         config.profile()))
+        res = exact_maxmin(inst, node_budget=5000)
+        assert (res.optimal, res.nodes_explored) == (False, 5001)
+        for case in range(20):
+            assert exact_maxmin(random_instance(random.Random(case))).optimal
 
     def test_bad_pair_order_rejected(self):
         inst = make_instance([1.0, 1.0], [1.0, 1.0])

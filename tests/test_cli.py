@@ -58,7 +58,31 @@ class TestRates:
         assert_one_line_error(code, err)
 
 
+# The `eprnet route` commands whose stdout, concatenated, is
+# tests/golden/route.txt; CI's installed-package step runs the same list.
+ROUTE_GOLDEN = [
+    "--topology ilec17 --source A --wss-db 8",
+    "--topology ilec17 --source A --wss-db 0 --fiber-db-per-km 0",
+    "--topology simple6 --source A --wss-db 8",
+    "--topology simple6 --source A --pair B E",
+    "--topology ilec17 --source A --wss-db 8 --pair M P",
+    "--topology ilec17 --source A --wss-db 8 --pair P Q",
+    "--topology ilec17 --source A --wss-db 0 --fiber-db-per-km 0 --pair M P",
+    "--topology ilec17 --source A --wss-db 0 --fiber-db-per-km 0 --pair P Q",
+]
+
+
 class TestRoute:
+    def test_output_matches_golden(self, capsys):
+        # Loss tables, the tie-heavy lossless case included, and per-route
+        # hops and losses.
+        out = ""
+        for command in ROUTE_GOLDEN:
+            code, text, _ = run(capsys, "route", *command.split())
+            assert code == 0
+            out += text
+        assert out.encode() == (GOLDEN / "route.txt").read_bytes()
+
     def test_pair_table(self, capsys):
         code, out, _ = run(capsys, "route", "--topology", "simple6",
                            "--source", "A", "--wss-db", "8")

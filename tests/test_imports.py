@@ -42,7 +42,7 @@ def test_public_api_is_pinned():
         "gen_vertex", "generation_rates", "jain_index",
         "link_distance", "load_topology", "lp_round", "mem_vertex",
         "modified_lpt", "normalization_reference",
-        "normalized_min_rate", "out_port", "random_balanced", "read_csv_rows",
+        "normalized_min_rate", "random_balanced", "read_csv_rows",
         "round_robin", "route_nodes",
         "run_placement_sweep", "splitmix64", "topology_from_dict",
         "transmittance",

@@ -21,11 +21,10 @@ from eprnet import (
     link_distance,
     load_topology,
     mem_vertex,
-    out_port,
     topology_from_dict,
     transmittance,
 )
-from oracles import reference_routing_graph, reference_switch_graph
+from oracles import reference_hop_graph, reference_routing_graph
 
 
 def random_connected_topology(rng: random.Random, n: int) -> PhysicalTopology:
@@ -49,17 +48,13 @@ def random_connected_topology(rng: random.Random, n: int) -> PhysicalTopology:
 class TestTwoNodeConstruction:
     def test_exact_vertices_and_edges(self, two_node, default_loss):
         graph = build_routing_graph(two_node, "s", default_loss)
-        assert set(graph.vertices) == {
-            gen_vertex(), mem_vertex("s"), out_port("s", "a"),
-            ("node", "a"), mem_vertex("a"),
-        }
-        edges = {(e.tail, e.head): (e.weight_db, e.kind) for e in graph.edges}
-        assert edges == {
-            (gen_vertex(), out_port("s", "a")): (16.0, "transit"),
-            (gen_vertex(), mem_vertex("s")): (8.0, "drop"),
-            (out_port("s", "a"), ("node", "a")): (pytest.approx(0.4), "fiber"),
-            (("node", "a"), mem_vertex("a")): (8.0, "drop"),
-        }
+        assert graph.vertices == (
+            gen_vertex(), mem_vertex("a"), mem_vertex("s"), ("node", "a"))
+        assert graph.edges == (
+            GraphEdge(("node", "a"), mem_vertex("a"), 8.0, 0.0, "drop"),
+            GraphEdge(gen_vertex(), ("node", "a"), 16.0, 0.4 * 1.0, "fiber"),
+            GraphEdge(gen_vertex(), mem_vertex("s"), 8.0, 0.0, "drop"),
+        )
 
 
 class TestGraphInvariants:
@@ -72,25 +67,16 @@ class TestGraphInvariants:
 
         deg = {i: len(topology.neighbors(i)) for i in topology.node_ids}
         two_l = 2 * len(topology.links)
-        adj_s = set(topology.neighbors(source))
         n = len(topology.node_ids)
 
-        # The generator, n memories, a switch per consumer and an output
-        # port per fiber that does not point at the source.
-        expected_vertices = 1 + n + (n - 1) + (two_l - deg[source])
-        assert len(graph.vertices) == expected_vertices
+        # The generator, n memories and a switch per consumer.
+        assert len(graph.vertices) == 2 * n
 
-        by_kind = {"fiber": 0, "transit": 0, "drop": 0}
+        by_kind = {"fiber": 0, "drop": 0}
         for e in graph.edges:
             by_kind[e.kind] += 1
+        # One hop per directed fiber that does not point at the source.
         assert by_kind["fiber"] == two_l - deg[source]
-        # One transit per output port: consumers have none toward the
-        # source, the generator has one per source link.
-        expected_transit = sum(
-            deg[i] - (1 if i in adj_s else 0)
-            for i in topology.node_ids if i != source
-        ) + deg[source]
-        assert by_kind["transit"] == expected_transit
         assert by_kind["drop"] == n
 
     @pytest.mark.parametrize("case", range(10))
@@ -100,21 +86,20 @@ class TestGraphInvariants:
         source = rng.choice(topology.node_ids)
         graph = build_routing_graph(topology, source, default_loss)
         vertices = set(graph.vertices)
-        for v in vertices:
-            if v[0] == "node":
-                assert v[1] != source, "the generator is the source's switch"
-            if v[0] == "out":
-                assert v[2] != source, "no out-port may face the source"
+        assert {v[0] for v in vertices} == {"gen", "mem", "node"}
+        assert ("node", source) not in vertices, (
+            "the generator is the source's switch")
         for e in graph.edges:
             assert e.tail in vertices and e.head in vertices
-            assert e.head != gen_vertex()
+            assert e.head != gen_vertex(), "no fiber may point at the source"
             assert e.tail[0] != "mem"
-            if e.kind == "transit":
-                assert e.weight_db == 2 * default_loss.wss_loss_db
-            elif e.kind == "drop":
-                assert e.weight_db == default_loss.wss_loss_db
+            if e.kind == "fiber":
+                assert e.head[0] == "node"
+                assert e.switch_db == 2 * default_loss.wss_loss_db
+                assert e.fiber_db > 0
             else:
-                assert e.weight_db > 0
+                assert e.kind == "drop" and e.head[0] == "mem"
+                assert (e.switch_db, e.fiber_db) == (default_loss.wss_loss_db, 0.0)
 
     def test_unknown_source(self, two_node, default_loss):
         with pytest.raises(TopologyError):
@@ -122,9 +107,8 @@ class TestGraphInvariants:
 
 
 def _layout(graph):
-    """Source, vertices, and edges as (tail, head, weight_db, kind), in order."""
-    return (graph.source, graph.vertices,
-            [(e.tail, e.head, e.weight_db, e.kind) for e in graph.edges])
+    """Source, vertices, and edges as plain tuples, in order."""
+    return graph.source, graph.vertices, [tuple(e) for e in graph.edges]
 
 
 @st.composite
@@ -148,8 +132,8 @@ def placements(draw):
 
 
 class TestGraphLayout:
-    """``build_routing_graph`` keeps the pinned switch-by-switch build's
-    vertex and edge order: edge ids are the router's tie-breakers."""
+    """``build_routing_graph`` keeps the pinned hop-by-hop build's vertex
+    and edge order: edge ids are the router's tie-breakers."""
 
     @pytest.mark.parametrize("wss", [0.0, 4.0, 8.0])
     @pytest.mark.parametrize("fiber", [0.0, 0.4])
@@ -158,23 +142,24 @@ class TestGraphLayout:
         topology, loss = bundled_topology(name), LossParams(fiber, wss)
         for source in topology.node_ids:
             assert _layout(build_routing_graph(topology, source, loss)) == _layout(
-                reference_switch_graph(topology, source, loss))
+                reference_hop_graph(topology, source, loss))
 
     @settings(max_examples=200, deadline=None)
     @given(placements())
     def test_random_topologies(self, placement):
         assert _layout(build_routing_graph(*placement)) == _layout(
-            reference_switch_graph(*placement))
+            reference_hop_graph(*placement))
 
     def test_graph_edge_shape(self):
-        edge = GraphEdge(gen_vertex(), mem_vertex("a"), 8.0, "drop")
-        assert GraphEdge._fields == ("tail", "head", "weight_db", "kind")
-        assert (edge.tail, edge.head, edge.weight_db, edge.kind) == (
-            ("gen",), ("mem", "a"), 8.0, "drop")
+        edge = GraphEdge(gen_vertex(), mem_vertex("a"), 8.0, 0.0, "drop")
+        assert GraphEdge._fields == ("tail", "head", "switch_db", "fiber_db",
+                                     "kind")
+        assert (edge.tail, edge.head, edge.switch_db, edge.fiber_db,
+                edge.kind) == (("gen",), ("mem", "a"), 8.0, 0.0, "drop")
         assert repr(edge) == ("GraphEdge(tail=('gen',), head=('mem', 'a'), "
-                              "weight_db=8.0, kind='drop')")
+                              "switch_db=8.0, fiber_db=0.0, kind='drop')")
         with pytest.raises(AttributeError):
-            edge.weight_db = 0.0
+            edge.fiber_db = 1.0
 
 
 def _route_values(graph):
@@ -185,9 +170,9 @@ def _route_values(graph):
 
 
 class TestSwitchGraphMatchesPortGraph:
-    """Routing the switch-level graph gives bit for bit the totals, etas
-    and infeasible pairs of routing the port-level graph, with one input
-    port per incoming fiber, that it replaced."""
+    """Routing the hop graph, one edge per directed fiber, gives bit for
+    bit the totals, etas and infeasible pairs of routing the port-level
+    graph, with a vertex per input and output port."""
 
     @pytest.mark.parametrize("wss", [0.0, 4.0, 8.0])
     @pytest.mark.parametrize("fiber", [0.0, 0.4])

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -23,19 +24,21 @@ from eprnet import (
     route_nodes,
     topology_from_dict,
 )
-from oracles import _ref_dijkstra, best_disjoint_total, reference_route_table
+from oracles import (_ref_dijkstra, best_disjoint_total, element_edges,
+                     reference_route_table)
 
 GEN, A, B = gen_vertex(), mem_vertex("a"), mem_vertex("b")
 
 
 def _graph(edges, extra=()) -> RoutingGraph:
-    """A hand-built loss graph from (tail, head, weight) triples; an edge's
-    id is its position.  ``extra`` vertices are listed right after the
-    generator, even those that no edge touches."""
+    """A hand-built loss graph from (tail, head, weight) triples, each
+    edge's loss ``(weight, 0.0)``; an edge's id is its position.  ``extra``
+    vertices are listed right after the generator, even those that no edge
+    touches."""
     vertices = dict.fromkeys(
         [GEN, *extra, *(v for tail, head, _ in edges for v in (tail, head))])
     return RoutingGraph("s", tuple(vertices), tuple(
-        GraphEdge(tail, head, weight, "fiber") for tail, head, weight in edges))
+        GraphEdge(tail, head, weight, 0.0, "fiber") for tail, head, weight in edges))
 
 
 def _routes(graph):
@@ -44,7 +47,7 @@ def _routes(graph):
     table = all_pair_routes(graph)
     assert table == reference_route_table(graph)
     assert list(table.plans) == sorted(table.plans)
-    edges = [(e.tail, e.head, e.weight_db) for e in graph.edges]
+    edges = element_edges(graph)
     nodes = sorted(v[1] for v in graph.vertices if v[0] == "mem")
     for a, b in itertools.combinations(nodes, 2):
         ext = edges + [(mem_vertex(a), "end", 0.0), (mem_vertex(b), "end", 0.0)]
@@ -134,11 +137,31 @@ class TestSuurballeSmall:
         assert (plan.path_a, plan.path_b) == ((5, 1, 3, 6), (4,))
         assert plan.total_loss_db == 2.0
 
+    def test_reduced_cost_summed_as_in_the_port_graph(self):
+        # mem(a) is at 0.2 + 0.7 + 0.1 == 0.9999999999999999.  In b's
+        # second pass edge 3 costs 0.1 + (0.2 + 0.7) - that == 0.0, as its
+        # switch and fiber arcs would through an output port, and edge 0
+        # an ulp.  Summed as (0.7 + 0.1) + 0.2 - that, edge 3 would cost
+        # an ulp too, and the tie would go to edge 0.
+        v = ("v",)
+        graph = RoutingGraph("s", (GEN, A, B, v), (
+            GraphEdge(GEN, A, 0.0, 1.0, "fiber"),
+            GraphEdge(GEN, B, 0.2, 0.3, "fiber"),
+            GraphEdge(GEN, v, 0.2, 0.0, "fiber"),
+            GraphEdge(v, A, 0.7, 0.1, "fiber")))
+        plan = _routes(graph).plans[("a", "b")]
+        assert (plan.path_a, plan.path_b) == ((2, 3), (1,))
+
     @pytest.mark.parametrize("weight", [math.inf, math.nan, -1.0, "1", True])
     def test_invalid_weight_rejected(self, weight):
-        graph = _graph([(GEN, A, 1.0), (GEN, B, weight)])
-        with pytest.raises(RoutingError, match="invalid weight"):
-            all_pair_routes(graph)
+        # In either loss field; the error names the edge and the field.
+        good = _graph([(GEN, A, 1.0), (GEN, B, 1.0)])
+        for field in ("switch_db", "fiber_db"):
+            bad = good.edges[1]._replace(**{field: weight})
+            graph = RoutingGraph("s", good.vertices, (good.edges[0], bad))
+            message = f"edge 1 has invalid {field} {weight!r}"
+            with pytest.raises(RoutingError, match=re.escape(message)):
+                all_pair_routes(graph)
 
     def test_edge_off_the_vertex_list_rejected(self):
         graph = _graph([(GEN, A, 1.0), (GEN, B, 1.0)])
@@ -187,13 +210,14 @@ class TestSuurballeRandomized:
 
 @st.composite
 def arc_lists(draw):
-    """A start vertex and (tail, head, weight) arcs on up to 7 vertices:
-    self-loops, parallel arcs, zero weights, repeated weights and ties that
-    only rounding makes (1e16 + 1.0 == 1e16)."""
+    """A start vertex and (tail, head, switch_db, fiber_db) arcs on up to 7
+    vertices: self-loops, parallel arcs, zero losses, repeated losses and
+    ties that only rounding makes (1e16 + 1.0 == 1e16)."""
     n = draw(st.integers(1, 7))
     vertex = st.integers(0, n - 1)
-    weight = st.sampled_from([0.0, 1.0, 2.0, 1e16]) | st.floats(0.0, 4.0)
-    return draw(vertex), draw(st.lists(st.tuples(vertex, vertex, weight), max_size=24)), n
+    loss = st.sampled_from([0.0, 1.0, 2.0, 1e16]) | st.floats(0.0, 4.0)
+    arcs = st.lists(st.tuples(vertex, vertex, loss, loss), max_size=24)
+    return draw(vertex), draw(arcs), n
 
 
 class TestDijkstra:
@@ -203,8 +227,8 @@ class TestDijkstra:
         start, arcs, n = case
         adjacency = [[] for _ in range(n)]
         ref_adjacency = {}
-        for eid, (tail, head, weight) in enumerate(arcs):
-            adjacency[tail].append((eid, head, weight))
+        for eid, (tail, head, switch_db, fiber_db) in enumerate(arcs):
+            adjacency[tail].append((eid, head, switch_db, fiber_db))
             ref_adjacency.setdefault(tail, []).append(eid)
         dist, pred, order = eprnet.routing._dijkstra(adjacency, start)
         ref_dist, ref_pred = _ref_dijkstra(ref_adjacency, arcs, start)
@@ -288,7 +312,7 @@ class TestNonFiniteGraphs:
             links=(Link("s", "a", math.inf),),
         )
         graph = build_routing_graph(topology, "s", default_loss)
-        with pytest.raises(RoutingError, match="invalid weight inf"):
+        with pytest.raises(RoutingError, match="invalid fiber_db inf"):
             all_pair_routes(graph)
 
 
@@ -394,7 +418,7 @@ def _route_counting_passes(monkeypatch, graph):
     firsts = [graph.vertices[v] for adjacency in adjacencies
               for v, arcs in enumerate(adjacency)
               if graph.vertices[v][0] == "mem"
-              and any(marker < 0 for marker, _, _ in arcs)]
+              and any(arc[0] < 0 for arc in arcs)]
     return table, len(adjacencies), firsts
 
 
