@@ -139,10 +139,11 @@ def exact_maxmin(
     children of a node try the pairs by ascending current received rate,
     ties broken by ``pair_order``.  Equal-rate channels are canonicalized
     (their pair indices must be non-decreasing) to kill permutation
-    symmetry.  A node is pruned when its pairs cannot all reach the
-    threshold, the incumbent's minimum (a leaf must beat it).  Two bounds
-    decide that, from each short pair's missing rate mass
-    ``threshold / eta_p - mass_p``:
+    symmetry.  A leaf replaces the incumbent, at first the best heuristic
+    seed, only when its minimum is strictly larger, so a node is pruned
+    when none of its leaves can have every pair beat the incumbent's
+    minimum, the threshold.  Two bounds decide that, from each short
+    pair's missing rate mass ``threshold / eta_p - mass_p``:
 
     * water-filling: the missing masses must fit in the remaining rate
       mass, i.e. the water-filling completion with divisible channels
@@ -151,16 +152,27 @@ def exact_maxmin(
       would take with the largest remaining ones, and those counts must
       fit in the channels left.
 
-    Both are padded by a relative 1e-12 (plus an absolute allowance for
-    the rounding of running sums), so rounding never cuts off a leaf that
-    would be accepted.  A pair's running mass is restored exactly on
-    backtracking, so every node's rates depend only on its path: the
-    search order, and hence which of several optimal assignments is
-    returned, depends only on the instance and ``pair_order``, never on
-    how much of the tree was pruned.  The search is iterative and
-    deterministic, with no wall-clock stop.  Intended for small
-    instances; on larger ones set a budget and expect ``optimal=False``
-    with the best incumbent found.
+    Both are padded by a relative 1e-12 plus an absolute allowance for
+    the rounding of running sums, so a float count is a lower bound.  A
+    pair whose count reaches a mass within that padding above its goal
+    may only tie the threshold, so the leaf's own arithmetic settles it:
+    it needs a channel more unless ``eta_p * fsum(its rates + the j
+    largest left)`` beats the threshold, and the node is pruned if all the
+    channels left do not.  ``math.fsum`` rounds the exact sum once, so no
+    j channels give a pair more than the j largest: a subtree whose best
+    leaf only ties the incumbent can be pruned, one holding a strictly
+    better leaf never is.
+
+    A pair's running mass is restored exactly on backtracking, so every
+    node's rates and children depend only on its path.  As pruning
+    removes only subtrees without an improving leaf, the search meets the
+    same improving leaves in the same order however much it prunes: the
+    optimum returned depends only on the instance and ``pair_order``, and
+    a search stopped at its budget has met every improvement that a
+    weaker bound meets within that budget, so it can only do better.  The
+    search is iterative and deterministic, with no wall-clock stop.
+    Intended for small instances; on larger ones set a budget and expect
+    ``optimal=False`` with the best incumbent found.
 
     Args:
         pair_order: permutation used to break ties between equally poor
@@ -187,11 +199,12 @@ def exact_maxmin(
     etas = list(instance.etas)
     inv_eta = [1.0 / e for e in etas]
     order = instance.rates.descending
+    desc = [n[x] for x in order]  # the j largest left at depth t: desc[t:t + j]
     # prefix[i]: mass of the i largest channels, so the j largest of the
     # channels left at depth t sum to prefix[t + j] - prefix[t].
     prefix = [0.0] * (m + 1)
     for t in range(m):
-        prefix[t + 1] = prefix[t] + n[order[t]]
+        prefix[t + 1] = prefix[t] + desc[t]
     # Covers the rounding of the prefix sums, of their differences and of
     # the running masses, each a sequential sum of at most m nonnegative
     # terms.
@@ -209,11 +222,13 @@ def exact_maxmin(
     best_assign = list(seed_alloc.assignment)
     best_value = seed_alloc.min_rate
 
-    def mass_goals(threshold: float) -> list[float]:
-        # Lower bounds on the mass each pair must hold to reach threshold.
-        return [threshold * inv * (1.0 - 1e-12) - mass_slack for inv in inv_eta]
+    def mass_goals(threshold: float) -> tuple[list[float], list[float]]:
+        # A pair's mass below its goal cannot beat threshold, and mass
+        # above its top surely does.
+        return ([threshold * inv * (1.0 - 1e-12) - mass_slack for inv in inv_eta],
+                [threshold * inv * (1.0 + 1e-12) + mass_slack for inv in inv_eta])
 
-    goals = mass_goals(best_value)
+    goals, tops = mass_goals(best_value)
     assign = [-1] * m
     mass = [0.0] * k
     owned: list[list[float]] = [[] for _ in range(k)]  # rates, for leaves
@@ -234,7 +249,7 @@ def exact_maxmin(
             if value > best_value:
                 best_value = value
                 best_assign = assign.copy()
-                goals = mass_goals(best_value)
+                goals, tops = mass_goals(best_value)
         else:
             # Missing mass of each short pair: together it must fit in the
             # remaining mass (water-filling), and each pair's share must
@@ -243,9 +258,23 @@ def exact_maxmin(
             # Left to right: builtin sum() compensates from Python 3.12 on.
             if reduce(operator.add, shorts, 0.0) <= prefix[m] - prefix[t]:
                 base = prefix[t]
-                channels = sum(bisect.bisect_left(prefix, base + s, t + 1)
-                               for s in shorts)
-                expand = channels - t * len(shorts) <= m - t
+                ends = [bisect.bisect_left(prefix, base + (g - w), t + 1)
+                        if g > w else t for g, w in zip(goals, mass)]
+                spare = m - t - sum(ends) + k * t
+                # A count whose mass lands in the padding may be one short,
+                # or no count may do: the leaf's own arithmetic decides.
+                for p, i in enumerate(ends):
+                    if spare < 0:
+                        break
+                    top = tops[p] - mass[p]
+                    if (prefix[i] - base <= top and etas[p]
+                            * math.fsum(owned[p] + desc[t:i]) <= best_value):
+                        spare -= 1
+                        if (i == m or prefix[m] - base <= top
+                                and etas[p] * math.fsum(owned[p] + desc[t:])
+                                <= best_value):
+                            spare = -1
+                expand = spare >= 0
         if expand:
             r = list(map(operator.mul, etas, mass))
             children = sorted(by_rank, key=r.__getitem__)

@@ -298,24 +298,58 @@ class TestExactMaxmin:
         assert_partition(inst, res.allocation)
 
     def test_channel_count_bound_keeps_ring4_small(self):
-        # The golden ring4 sweep's first exact solve (source a, 8 dB):
-        # 515,286 nodes with the water-filling bound alone.
+        # The golden ring4 sweep's exact solves, run 0 of each placement:
+        # the seed is optimal, and the channel-count bound, its ties
+        # settled by fsum, proves it at the root.  The water-filling bound
+        # alone took 515,286 nodes for source a at 8 dB.
         config = ExperimentConfig(topology_path=str(GOLDEN / "ring4.json"),
                                   seed=97531, wss_losses=(4.0, 8.0), channels=10)
         topology = load_topology(config.topology_path)
-        graph = build_routing_graph(topology, "a", LossParams(0.4, 8.0))
-        table = all_pair_routes(graph)
-        etas = tuple(table.plans[pair].eta for pair in sorted(table.plans))
+        rates = generation_rates(config.grid(), config.profile())
+        for loss_idx, wss in enumerate(config.wss_losses):
+            for source_idx, source in enumerate(topology.node_ids):
+                graph = build_routing_graph(topology, source, LossParams(0.4, wss))
+                table = all_pair_routes(graph)
+                etas = tuple(table.plans[pair].eta for pair in sorted(table.plans))
+                inst = AllocationInstance(etas, rates)
+                seed = derive_seed(config.seed, loss_idx, source_idx,
+                                   ALL_STRATEGIES.index("exact"), 0)
+                perm = tuple(int(p) for p in np.random.Generator(
+                    np.random.PCG64(seed)).permutation(len(etas)))
+                res = exact_maxmin(inst, pair_order=perm,
+                                   node_budget=config.exact_node_budget)
+                assert res.optimal
+                assert res.nodes_explored == 1, (source, wss)
+
+    def test_all_zero_spectrum_optimal_at_root(self):
+        # Every assignment ties at rate 0, so no leaf can beat the seed: a
+        # pair that cannot beat it even with every remaining channel
+        # prunes the root.
+        graph = build_routing_graph(load_topology("simple6"), "A",
+                                    LossParams(0.4, 8.0))
+        etas = tuple(p.eta for p in all_pair_routes(graph).plans.values())
+        inst = make_instance(etas, [0.0] * 32)
+        res = exact_maxmin(inst, node_budget=200_000)
+        assert res.optimal
+        assert res.nodes_explored == 1
+        assert res.allocation.min_rate == 0.0
+
+    def test_more_budget_never_lowers_the_minimum(self):
+        # The instance of tests/golden/allocate-simple6-A.txt, in the pair
+        # order of its seed 3: pruning removes only subtrees without a
+        # strictly better leaf, so a larger budget meets every improvement
+        # a smaller one met.
+        graph = build_routing_graph(load_topology("simple6"), "A",
+                                    LossParams(0.4, 8.0))
+        etas = tuple(p.eta for p in all_pair_routes(graph).plans.values())
+        config = ExperimentConfig(topology_path="simple6", seed=3, channels=32)
         inst = AllocationInstance(etas, generation_rates(config.grid(),
                                                          config.profile()))
-        # Run 0 of loss index 1 (8 dB) and source index 0 (a).
-        seed = derive_seed(config.seed, 1, 0, ALL_STRATEGIES.index("exact"), 0)
-        perm = tuple(int(p) for p in
-                     np.random.Generator(np.random.PCG64(seed)).permutation(len(etas)))
-        res = exact_maxmin(inst, pair_order=perm,
-                           node_budget=config.exact_node_budget)
-        assert res.optimal
-        assert res.nodes_explored < 10_000
+        runs = [allocate_once(inst, "exact", seed=3, node_budget=budget)
+                for budget in (500, 5000, 50_000)]
+        assert not runs[1][1]
+        mins = [allocation.min_rate for allocation, _ in runs]
+        assert mins == sorted(mins)
 
     def test_sums_no_floats_with_builtin_sum(self, monkeypatch):
         # Builtin sum() compensates float rounding from Python 3.12 on, so

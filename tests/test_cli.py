@@ -232,6 +232,17 @@ class TestAllocate:
         assert code == 0
         assert out.splitlines()[-1] == "status: ok"
 
+    def test_exact_all_zero_spectrum_reports_ok(self, capsys):
+        # Every assignment ties at rate 0: the seed is proven optimal at the
+        # root, not searched until the budget runs out.
+        code, out, _ = run(capsys, "allocate", "--topology", "simple6",
+                           "--source", "A", "--strategy", "exact",
+                           "--channels", "32", "--peak-rate", "0",
+                           "--node-budget", "200000")
+        assert code == 0
+        assert "minimum rate: 0" in out
+        assert out.splitlines()[-1] == "status: ok"
+
     def test_exact_zero_node_budget_is_one_line_error(self, capsys):
         code, out, err = run(capsys, "allocate", "--topology", "simple6",
                              "--source", "A", "--strategy", "exact",

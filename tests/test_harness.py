@@ -327,8 +327,10 @@ class TestSweep:
         assert all(r.status == "budget" for r in report.rows)
 
     def test_budget_stop_marks_exact(self, monkeypatch):
-        # 16 channels for 15 pairs: with fewer channels than pairs the seed
-        # would be optimal at the root, and no search would stop.  No run
+        # simple6/A with 32 channels for its 15 pairs: its search cannot
+        # close at the root (it stops at 5,000 nodes in the allocate
+        # golden), whereas source B's closes there, and with fewer channels
+        # than pairs the seed would be optimal at the root.  No run
         # completes, so each one searches with its own pair order.
         from eprnet import harness
         calls = []
@@ -339,8 +341,8 @@ class TestSweep:
             return exact(*args, **kw)
 
         monkeypatch.setattr(harness, "exact_maxmin", counting)
-        config = small_config(strategies=("exact",), runs=2, channels=16,
-                              exact_node_budget=1)
+        config = small_config(strategies=("exact",), runs=2, channels=32,
+                              sources=("A",), exact_node_budget=1)
         report = run_placement_sweep(config)
         assert all(r.status == "budget" and r.runs == 2
                    and r.mean_min_rate is not None for r in report.rows)
