@@ -413,6 +413,16 @@ def round_robin(
     return _finish(instance, assign)
 
 
+def _shuffled(size: int, seed: int) -> np.ndarray:
+    """The one seeded draw: PCG64's permutation of range(size), seed < 2**64."""
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise AllocationError(f"shuffle seed must be an int, got {seed!r}")
+    if not 0 <= seed < 1 << 64:
+        bound = ">= 0" if seed < 0 else "< 2**64"
+        raise AllocationError(f"shuffle seed must be {bound}, got {seed}")
+    return np.random.Generator(np.random.PCG64(seed)).permutation(size)
+
+
 def random_balanced(instance: AllocationInstance, rng_seed: int) -> Allocation:
     """Uniformly shuffle channels, then deal so counts differ by <= 1.
 
@@ -420,17 +430,9 @@ def random_balanced(instance: AllocationInstance, rng_seed: int) -> Allocation:
     """
     if rng_seed is None:
         raise AllocationError("the random strategy requires a seed")
-    if isinstance(rng_seed, bool) or not isinstance(rng_seed, int):
-        raise AllocationError(
-            f"the random strategy's seed must be an int, got {rng_seed!r}")
-    if rng_seed < 0:
-        raise AllocationError(
-            f"the random strategy's seed must be >= 0, got {rng_seed}")
     k, m = instance.pair_count, instance.channel_count
-    rng = np.random.Generator(np.random.PCG64(rng_seed))
-    perm = rng.permutation(m)
     assign = np.empty(m, dtype=np.int64)
-    assign[perm] = np.arange(m) % k  # position pos of perm gets pair pos % k
+    assign[_shuffled(m, rng_seed)] = np.arange(m) % k  # cyclic deal, shuffled order
     return _finish(instance, assign.tolist())
 
 

@@ -7,9 +7,9 @@ many runs, each with a freshly shuffled pair order; the others run once.
 
 Randomness policy: every run's seed is derived from the master seed and
 the (loss, source, strategy, run) indices through a splitmix64 chain, and
-all drawing uses numpy's PCG64 generator seeded with that value.  Results
-therefore depend only on the configuration, never on scheduling or wall
-clock, and repeated sweeps are byte-identical.
+the run's one draw is ``allocation._shuffled``, a PCG64 permutation seeded
+with that value.  Results therefore depend only on the configuration,
+never on scheduling or wall clock, and repeated sweeps are byte-identical.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ import sys
 import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
-
-import numpy as np
 
 from .allocation import (
     _NODE_BUDGET,
@@ -36,6 +34,7 @@ from .allocation import (
     modified_lpt,
     random_balanced,
     round_robin,
+    _shuffled,
 )
 from .metrics import jain_index, normalization_reference, normalized_min_rate
 from .netgraph import LossParams, build_routing_graph, load_topology
@@ -75,11 +74,9 @@ ALL_STRATEGIES = tuple(_STRATEGIES)
 
 def _pair_order(instance: AllocationInstance, seed: int | None
                 ) -> tuple[int, ...] | None:
-    """A PCG64 shuffle of the pairs for ``seed``; None keeps their natural order."""
-    if seed is None:
-        return None
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return tuple(rng.permutation(instance.pair_count).tolist())
+    """The pairs shuffled by ``seed``; None keeps their natural order."""
+    return (None if seed is None
+            else tuple(_shuffled(instance.pair_count, seed).tolist()))
 
 
 _MASK64 = (1 << 64) - 1
@@ -142,15 +139,14 @@ class ExperimentConfig:
             object.__setattr__(self, name, _typed(name, hint, getattr(self, name)))
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
-        if not self.wss_losses:
-            raise ConfigError("need at least one wss loss value")
-        if not self.strategies:
-            raise ConfigError("need at least one strategy")
-        # One row per (loss, source, strategy): a repeated entry would
-        # repeat rows.
+        # One row per (loss, source, strategy): an empty list would sweep
+        # nothing, and a repeated entry would repeat rows.
         for name in ("wss_losses", "strategies", "sources"):
-            values = getattr(self, name) or ()
-            for pos, value in enumerate(values):
+            values = getattr(self, name)
+            if values == ():
+                hint = " (null sweeps every node)" if name == "sources" else ""
+                raise ConfigError(f"{name} must not be empty{hint}")
+            for pos, value in enumerate(values or ()):
                 if value in values[:pos]:
                     raise ConfigError(f"{name} lists {value!r} more than once")
         unknown = set(self.strategies) - set(ALL_STRATEGIES)

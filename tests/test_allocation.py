@@ -33,7 +33,7 @@ from eprnet import (
     round_robin,
 )
 import eprnet.allocation
-from eprnet.allocation import _finish, _matching_rounds
+from eprnet.allocation import _finish, _matching_rounds, _shuffled
 from oracles import (
     enumerate_best_min,
     lp_fractional_search,
@@ -518,6 +518,34 @@ class TestRoundRobin:
         counts = [allocation.assignment.count(q) for q in range(inst.pair_count)]
         assert max(counts) - min(counts) <= 1
         assert_partition(inst, allocation)
+
+
+class TestShuffled:
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1])
+    @pytest.mark.parametrize("size", [1, 15, 136, 200])
+    def test_is_numpys_pcg64_permutation(self, seed, size):
+        expected = np.random.Generator(np.random.PCG64(seed)).permutation(size)
+        assert _shuffled(size, seed).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be >= 0, got -1"),
+        (2 ** 64, f"seed must be < 2**64, got {2 ** 64}"),
+        (True, "must be an int, got True"),
+        (2.0, "must be an int, got 2.0"),
+        (np.int64(3), "must be an int, got "),
+        (None, "must be an int, got None"),
+    ])
+    def test_rejects_all_but_a_64_bit_word(self, seed, message):
+        with pytest.raises(AllocationError, match=re.escape(message)):
+            _shuffled(4, seed)
+
+    def test_random_strategy_refuses_seed_above_64_bits(self):
+        # numpy's PCG64 would take it; the sweep's seeds never reach it.
+        inst = make_instance([1.0, 1.0], [1.0] * 4)
+        with pytest.raises(AllocationError, match=re.escape("< 2**64")):
+            random_balanced(inst, 2 ** 64)
+        assert random_balanced(inst, 2 ** 64 - 1).assignment == \
+            random_balanced(inst, 2 ** 64 - 1).assignment
 
 
 class TestRandomBalanced:

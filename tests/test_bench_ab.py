@@ -1,0 +1,70 @@
+"""tools/bench_ab.py reads A/B pairs by the rules its records state."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_ab.py"
+_SPEC = importlib.util.spec_from_file_location("bench_ab", _PATH)
+bench_ab = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_ab)
+
+SWEEP_S = {"name": "sweep_s", "better": "lower", "bound": 0.25}
+MIN_RATE = {"name": "min_rate_ratio", "better": "higher", "bound": 0.1}
+
+
+def make_pairs(parent, change, metric="sweep_s"):
+    return [{"seed": i, f"parent_{metric}": p, f"change_{metric}": c}
+            for i, (p, c) in enumerate(zip(parent, change))]
+
+
+def summary_of(pairs, metric="sweep_s"):
+    return {"pairs": pairs, metric: {
+        side: bench_ab.spread([p[f"{side}_{metric}"] for p in pairs])
+        for side in bench_ab.SIDES}}
+
+
+def test_wins_are_strict_and_follow_the_metric_direction():
+    pairs = make_pairs([1.0, 1.0, 1.0], [0.9, 1.0, 1.1])
+    assert bench_ab.wins(pairs, "sweep_s", "lower") == 1
+    assert bench_ab.wins(pairs, "sweep_s", "higher") == 1
+
+
+@pytest.mark.parametrize("parent, change, entry, reading", [
+    ([1.0, 1.0, 1.1, 1.1], [1.2, 1.2, 1.2, 1.2], SWEEP_S, "within bound"),
+    ([1.0, 1.0, 1.0, 1.0], [1.3, 1.3, 1.3, 1.3], SWEEP_S, "worse"),
+    # The parent's own runs spread wider than the 25% bound.
+    ([1.0, 2.0, 1.0, 2.0], [1.4, 1.4, 1.4, 1.4], SWEEP_S, "unresolved"),
+    ([1.0, 2.0, 1.0, 2.0], [0.5, 0.5, 0.5, 0.5], SWEEP_S, "better in every run"),
+    ([0.50, 0.50, 0.50], [0.40, 0.40, 0.40], MIN_RATE, "worse"),
+    ([0.50, 0.50, 0.50], [0.60, 0.60, 0.60], MIN_RATE, "within bound"),
+])
+def test_verdict_reads_the_median_against_the_bound(parent, change, entry,
+                                                    reading):
+    pairs = make_pairs(parent, change, entry["name"])
+    sides = summary_of(pairs, entry["name"])[entry["name"]]
+    assert bench_ab.verdict(pairs, entry["name"], entry, sides)["verdict"] == reading
+
+
+@pytest.mark.parametrize("won, met", [(9, True), (8, False)])
+def test_claim_needs_nine_in_ten_wins(won, met):
+    change = [0.5] * won + [1.5] * (10 - won)
+    pairs = make_pairs([1.0, 1.02] * 5, change)
+    result = bench_ab.claim(summary_of(pairs), "w", "sweep_s", "lower")
+    assert result["met"] is met
+    assert f"won {won} of 10" in result["why"]
+
+
+def test_claim_needs_a_median_gap_beyond_the_parents_spread():
+    pairs = make_pairs([1.0, 2.0] * 5, [0.9, 1.9] * 5)
+    assert bench_ab.claim(summary_of(pairs), "w", "sweep_s", "lower")["met"] is False
+
+
+def test_diff_sets_shared_workloads_side_by_side():
+    old = {"workloads": {"w": summary_of(make_pairs([1.0], [0.8])),
+                         "gone": summary_of(make_pairs([1.0], [1.0]))}}
+    new = {"workloads": {"w": summary_of(make_pairs([0.8], [0.6]))}}
+    lines = bench_ab.diff(old, new, ("A.json", "B.json"))
+    assert len(lines) == 2
+    assert lines[1].split() == ["w", "sweep_s", "1", "->", "0.8", "0.8", "->", "0.6"]

@@ -407,6 +407,19 @@ class TestSweep:
         assert "more than once" in err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_empty_sources_is_one_line_error(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"topology_path": "simple6", "seed": 1,
+                                    "runs": 2, "sources": []}))
+        code, out, err = run(capsys, "sweep", "--config", str(path),
+                             "--out", str(tmp_path / "x.csv"),
+                             "--plot", str(tmp_path / "x.svg"))
+        assert_one_line_error(code, err)
+        assert "sources must not be empty" in err
+        assert out == ""
+        assert not (tmp_path / "x.csv").exists()
+        assert not (tmp_path / "x.svg").exists()
+
     def test_bad_strategy_flag(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "--topology", "simple6",
                            "--seed", "1", "--strategies", "warp",

@@ -153,6 +153,8 @@ class TestConfig:
         dict(runs=0),
         dict(strategies=("warp",)),
         dict(wss_losses=()),
+        dict(strategies=()),
+        dict(sources=()),
         dict(channels=0),
         dict(wss_losses=(-1.0,)),
         dict(seed=True),
@@ -198,6 +200,16 @@ class TestConfig:
         path.write_text('{"topology_path": "simple6", ' + bad + '}')
         with pytest.raises(ConfigError):
             config_from_json(path)
+
+    def test_empty_sources_rejected_null_sweeps_every_node(self, tmp_path):
+        # An empty list would sweep nothing and write a header-only CSV.
+        path = tmp_path / "config.json"
+        path.write_text('{"topology_path": "simple6", "seed": 1, "sources": []}')
+        message = "sources must not be empty (null sweeps every node)"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            config_from_json(path)
+        path.write_text('{"topology_path": "simple6", "seed": 1, "sources": null}')
+        assert config_from_json(path).sources is None
 
     def test_json_round_trip(self, tmp_path):
         doc = {

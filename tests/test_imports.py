@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -47,3 +48,24 @@ def test_public_api_is_pinned():
         "run_placement_sweep", "splitmix64", "topology_from_dict",
         "transmittance",
     ]
+
+
+def test_numpy_and_its_generator_live_in_allocation_only():
+    # Every seeded shuffle is allocation._shuffled's one PCG64 draw; the
+    # other modules stay plain Python, so none can draw on its own.
+    importers, generators = set(), []
+    for path in sorted(Path(eprnet.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            modules = []
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "Generator"):
+                generators.append(path.name)
+            if any(m.split(".")[0] in ("numpy", "random") for m in modules):
+                importers.add(path.name)
+    assert importers == {"allocation.py"}
+    assert generators == ["allocation.py"]
