@@ -35,8 +35,6 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from .spectrum import RateVector
 
 
@@ -321,7 +319,8 @@ def first_fit(
     then the pass moves to the next pair in ``pair_order`` (channels left
     over after the last pair stay on it).  Feasibility of the pass is
     monotone in T, so the largest feasible T in [0, fractional optimum]
-    is found by bisection to 1e-9 relative resolution.
+    is found by bisection to 1e-9 relative resolution (or the float
+    spacing at the fractional optimum, where that is coarser).
 
     Within a block the rate never decreases, and a block starting later
     holds at most the mass of one starting earlier at every channel, so
@@ -376,7 +375,9 @@ def first_fit(
             ends = top
         else:
             lo, hi = 0.0, tf
-            tol = 1e-9 * tf
+            # No finer than the float spacing at tf: below it a subnormal
+            # tf's midpoint rounds back onto lo or hi and the loop stalls.
+            tol = max(1e-9 * tf, math.ulp(tf))
             while hi - lo > tol:
                 mid = (lo + hi) / 2.0
                 if mid <= reached:
@@ -415,6 +416,11 @@ def round_robin(
 
 def _shuffled(size: int, seed: int) -> np.ndarray:
     """The one seeded draw: PCG64's permutation of range(size), seed < 2**64."""
+    # numpy is imported only by the functions that compute with it, so
+    # importing eprnet, routing and rate tables never load it; once it is
+    # loaded, each of these imports is a sys.modules lookup.
+    import numpy as np
+
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise AllocationError(f"shuffle seed must be an int, got {seed!r}")
     if not 0 <= seed < 1 << 64:
@@ -428,6 +434,8 @@ def random_balanced(instance: AllocationInstance, rng_seed: int) -> Allocation:
 
     ``rng_seed`` is required: None would seed from OS entropy.
     """
+    import numpy as np
+
     if rng_seed is None:
         raise AllocationError("the random strategy requires a seed")
     k, m = instance.pair_count, instance.channel_count
@@ -505,6 +513,8 @@ def _matching_rounds(instance: AllocationInstance, *, frugal: bool) -> Allocatio
     exactly what a bisection over those entries with a full Hall check
     per probe would.
     """
+    import numpy as np
+
     k = instance.pair_count
     etas = np.asarray(instance.etas)
     n = instance.rates.rates

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 
 from .allocation import AllocationInstance
@@ -160,8 +161,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     given = {name: value for name, value in vars(args).items()
              if name in _CONFIG_DEFAULTS and value is not None}
     config = config_from_json(args.config, **given)
-    report = run_placement_sweep(config)
     out = config.output_path or "sweep.csv"
+    # Refused before the sweep, so a bad path costs no sweep and leaves no file.
+    for path in filter(None, (out, args.plot)):
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path}: it is a directory")
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise ConfigError(f"cannot write {path}: no directory {parent}")
+    report = run_placement_sweep(config)
     emit_csv(report, out)
     print(f"wrote {len(report.rows)} rows to {out}")
     if args.plot:

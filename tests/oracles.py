@@ -361,7 +361,7 @@ def reference_first_fit(instance: AllocationInstance,
             target = tf
         else:
             lo, hi = 0.0, tf
-            tol = 1e-9 * tf
+            tol = max(1e-9 * tf, math.ulp(tf))
             while hi - lo > tol:
                 mid = (lo + hi) / 2.0
                 if run_pass(mid)[1]:

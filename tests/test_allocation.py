@@ -1,8 +1,10 @@
 import builtins
+import contextlib
 import functools
 import math
 import random
 import re
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +51,21 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 def make_instance(etas, rates):
     return AllocationInstance(tuple(etas), RateVector(tuple(float(r) for r in rates)))
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Fail, rather than hang, if the block runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def random_instance(rng: random.Random, max_k=4, max_m=10, min_m=1):
@@ -489,6 +506,22 @@ class TestFirstFit:
         allocation = first_fit(inst)
         assert allocation.assignment == expected
         assert allocation == reference_first_fit(inst)
+
+    @pytest.mark.parametrize("etas,rates", [
+        ([1.0, 1.0], [5e-324] * 3),
+        ([1.0, 1.0], [1e-323] * 3),
+        ([0.5, 1.0], [1e-320, 3e-321, 2e-322]),
+    ])
+    def test_subnormal_optimum_ends_the_bisection(self, etas, rates):
+        # Below the float spacing at a subnormal fractional optimum the
+        # midpoint rounds onto lo or hi; the bisection must stop there.
+        inst = make_instance(etas, rates)
+        with time_limit(10):
+            allocation = first_fit(inst)
+            res = exact_maxmin(inst)
+        assert allocation == reference_first_fit(inst)
+        assert res.optimal
+        assert res.allocation.min_rate == enumerate_best_min(inst.etas, rates)
 
     @pytest.mark.parametrize("topology", ["simple6", "ilec17"])
     def test_matches_channel_walk_on_bundled_placements(self, topology):

@@ -68,3 +68,28 @@ def test_diff_sets_shared_workloads_side_by_side():
     lines = bench_ab.diff(old, new, ("A.json", "B.json"))
     assert len(lines) == 2
     assert lines[1].split() == ["w", "sweep_s", "1", "->", "0.8", "0.8", "->", "0.6"]
+
+
+def test_first_op_seconds_read_from_the_worker_log():
+    stderr = ("op 0 (untraced): 0.842 s, ok\n"
+              "op 1 (untraced): 0.731 s, ok\n"
+              "op 10 (untraced): 0.702 s, failed: exit code 1\n")
+    assert bench_ab.first_op_seconds(stderr) == 0.842
+    assert bench_ab.first_op_seconds("op 0 (untraced): 1.5e-02 s, failed: "
+                                     "exit code 1\n") == 0.015
+    with pytest.raises(ValueError):
+        bench_ab.first_op_seconds("op 1 (untraced): 0.731 s, ok\n"
+                                  "op 0 (traced): 0.9 s, ok\n")
+
+
+def test_first_op_seconds_summarized_without_a_verdict():
+    pairs = [{**p, "parent_first_op_s": 1.0, "change_first_op_s": 1.1,
+              "parent_failed": 0, "change_failed": 0, "parent_attempted": 3,
+              "change_attempted": 3, "parent_correct": True,
+              "change_correct": True, "parent_min_rate_ratio": 0.5,
+              "change_min_rate_ratio": 0.5}
+             for p in make_pairs([1.0, 1.0], [0.9, 0.9])]
+    summary = bench_ab.summarize(pairs, {"sweep_s": SWEEP_S})
+    assert summary["first_op_s"] == {
+        side: {"median": value, "q1": value, "q3": value}
+        for side, value in (("parent", 1.0), ("change", 1.1))}

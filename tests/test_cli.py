@@ -286,6 +286,15 @@ class TestAllocate:
         assert out.encode() == (GOLDEN / "allocate-simple6-A.txt").read_bytes()
 
 
+@pytest.fixture
+def no_sweep(monkeypatch):
+    """Fail the test if a sweep starts: output paths are checked first."""
+    def refuse(config):
+        raise AssertionError("swept before checking the output paths")
+
+    monkeypatch.setattr("eprnet.cli.run_placement_sweep", refuse)
+
+
 class TestSweep:
     def test_seed_required_without_config(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "--topology", "simple6",
@@ -419,6 +428,30 @@ class TestSweep:
         assert out == ""
         assert not (tmp_path / "x.csv").exists()
         assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--plot"])
+    @pytest.mark.parametrize("bad", ["nodir/x", "adir"])
+    def test_unwritable_output_refused_before_sweeping(self, capsys, tmp_path,
+                                                       no_sweep, flag, bad):
+        (tmp_path / "adir").mkdir()
+        paths = {"--out": str(tmp_path / "x.csv"), "--plot": str(tmp_path / "x.svg")}
+        paths[flag] = str(tmp_path / bad)
+        code, out, err = run(capsys, "sweep", "--topology", "simple6",
+                             "--seed", "1", "--runs", "2",
+                             *(arg for item in paths.items() for arg in item))
+        assert_one_line_error(code, err)
+        assert paths[flag] in err
+        assert out == ""
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir"]
+
+    def test_output_path_from_config_checked_too(self, capsys, tmp_path,
+                                                 no_sweep):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"topology_path": "simple6", "seed": 1,
+                                    "output_path": str(tmp_path / "no" / "y.csv")}))
+        code, _, err = run(capsys, "sweep", "--config", str(path))
+        assert_one_line_error(code, err)
+        assert "no directory" in err
 
     def test_bad_strategy_flag(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "--topology", "simple6",

@@ -4,25 +4,64 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import eprnet
 
 TEST_ONLY = ("scipy", "networkx", "hypothesis", "pytest")
 
 
-def test_runtime_imports_need_only_numpy():
+def loaded_after(code: str, modules: tuple[str, ...], cwd: Path) -> list[str]:
+    """Which of ``modules`` a fresh interpreter has loaded after running
+    ``code`` with eprnet imported from this checkout."""
+    src = str(Path(eprnet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (f"import sys; {code}; "
+            f"print(sorted(m for m in {modules!r} if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def test_runtime_imports_need_only_numpy(tmp_path):
     # numpy is the only declared runtime dependency; the oracles' scipy
     # and networkx, and the test tools, must never be pulled in by the
     # library itself.
-    src = str(Path(eprnet.__file__).resolve().parents[1])
-    code = (
-        "import sys; import eprnet, eprnet.cli, eprnet.harness; "
-        f"print(sorted(m for m in {TEST_ONLY!r} if m in sys.modules))"
-    )
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=60, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    code = "import eprnet, eprnet.cli, eprnet.harness"
+    assert loaded_after(code, TEST_ONLY, tmp_path) == []
+
+
+# Steps that never allocate, each run alone in a fresh interpreter.
+NO_ALLOCATION = {
+    "import": "import eprnet, eprnet.cli, eprnet.harness",
+    "load": "import json, pathlib; "
+            "from eprnet.harness import config_from_json; "
+            "from eprnet.netgraph import load_topology; "
+            "pathlib.Path('c.json').write_text("
+            "json.dumps(dict(topology_path='ilec17', seed=1))); "
+            "load_topology(config_from_json('c.json').topology_path)",
+    "route": "from eprnet import cli; "
+             "cli.main(['route', '--topology', 'simple6', '--source', 'A'])",
+    "rates": "from eprnet import cli; cli.main(['rates', '--channels', '8'])",
+    "refused sweep": "from eprnet import cli; "
+                     "assert cli.main(['sweep', '--topology', 'simple6', "
+                     "'--seed', '1', '--runs', '0']) == 1",
+}
+
+
+@pytest.mark.parametrize("step", NO_ALLOCATION)
+def test_numpy_loads_only_when_allocating(tmp_path, step):
+    # numpy's import is most of eprnet's start-up; commands that route,
+    # tabulate rates or refuse their input never compute with it.
+    assert loaded_after(NO_ALLOCATION[step], ("numpy",), tmp_path) == []
+
+
+def test_numpy_loaded_by_an_allocation(tmp_path):
+    code = ("from eprnet import cli; "
+            "cli.main(['allocate', '--topology', 'simple6', '--source', 'A', "
+            "'--strategy', 'random', '--seed', '3'])")
+    assert loaded_after(code, ("numpy",), tmp_path) == ["numpy"]
 
 
 def test_public_api_is_pinned():

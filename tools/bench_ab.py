@@ -30,6 +30,11 @@ parent's, and reads it against its bound in ``BENCHMARK.json``: "within
 bound", "worse", or "unresolved" where the parent's interquartile range is
 wider than the bound and not every change run beats every parent run.
 
+Each run's ``first_op_s`` is also kept: the wall time of its first op,
+read from the ``op 0 (untraced): X s`` line that ``perfbench/worker.py``
+writes to stderr.  Work moved out of the set-up probe (a deferred import,
+say) lands there.  It gets a median and quartiles per side, no verdict.
+
 ``--diff A B`` prints, for each workload and metric the two files share,
 each file's parent and change medians side by side.
 
@@ -44,6 +49,7 @@ import hashlib
 import io
 import json
 import platform
+import re
 import shutil
 import signal
 import statistics
@@ -56,6 +62,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKTREE = "WORKTREE"
 SIDES = ("parent", "change")
+FIRST_OP = re.compile(r"^op 0 \(untraced\): (\S+) s,", re.MULTILINE)
 RULE = ("change wins at least 9 of 10 pairs and the gap between medians "
         "exceeds the parent's interquartile range")
 
@@ -111,13 +118,24 @@ def recorded_seeds() -> list[int]:
     return seeds
 
 
+def first_op_seconds(stderr: str) -> float:
+    """The wall seconds of a run's first op, from the worker's op log."""
+    match = FIRST_OP.search(stderr)
+    if match is None:
+        raise ValueError("no 'op 0 (untraced)' line in the run's stderr")
+    return float(match.group(1))
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced ``perfbench/run.py`` run: its last stdout line, parsed."""
+    """One untraced ``perfbench/run.py`` run: its last stdout line, parsed,
+    plus ``first_op_s``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"],
         cwd=checkout, check=True, capture_output=True, text=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    result["first_op_s"] = first_op_seconds(proc.stderr)
+    return result
 
 
 def spread(values: list[float]) -> dict[str, float]:
@@ -141,6 +159,7 @@ def measure(checkouts: dict[str, Path], workload: str, seeds: list[int],
             result = run_once(checkouts[side], workload, seed, seconds)
             for metric, entry in result["metrics"].items():
                 pair[f"{side}_{metric}"] = float(f"{entry['value']:.6g}")
+            pair[f"{side}_first_op_s"] = result["first_op_s"]
             pair[f"{side}_attempted"] = result["attempted"]
             pair[f"{side}_failed"] = result["failed"]
             pair[f"{side}_correct"] = result["correct"]
@@ -194,6 +213,8 @@ def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict:
     for name, entry in metrics.items():
         sides = {side: spread([p[f"{side}_{name}"] for p in pairs]) for side in SIDES}
         summary[name] = {**sides, **verdict(pairs, name, entry, sides)}
+    summary["first_op_s"] = {side: spread([p[f"{side}_first_op_s"] for p in pairs])
+                             for side in SIDES}
     summary["ops_failed"] = {side: sum(p[f"{side}_failed"] for p in pairs)
                              for side in SIDES}
     summary["ops_attempted"] = {side: sum(p[f"{side}_attempted"] for p in pairs)
@@ -253,7 +274,9 @@ def cmd_run(args: argparse.Namespace) -> int:
                   "than the parent's and parent_spread the parent's "
                   "interquartile range, both as fractions of the parent's "
                   "median; verdict reads them against the metric's "
-                  "BENCHMARK.json bound. Every run made is listed.",
+                  "BENCHMARK.json bound. first_op_s is each run's first op, "
+                  "from its 'op 0 (untraced)' stderr line, with no verdict. "
+                  "Every run made is listed.",
         "machine": f"{platform.machine()}, {platform.system()}, Python "
                    f"{platform.python_version()}",
         "date": datetime.date.today().isoformat(),
