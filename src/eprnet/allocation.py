@@ -414,18 +414,24 @@ def round_robin(
     return _finish(instance, assign)
 
 
+def _seed_word(value: object, what: str, error: type = AllocationError) -> int:
+    """``value`` if it is an int in 0..2**64-1, the seeds ``_shuffled`` takes;
+    ``error`` naming ``what`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{what} must be an int, got {value!r}")
+    if not 0 <= value < 1 << 64:
+        bound = ">= 0" if value < 0 else "< 2**64"
+        raise error(f"{what} must be {bound}, got {value}")
+    return int(value)
+
+
 def _shuffled(size: int, seed: int) -> np.ndarray:
-    """The one seeded draw: PCG64's permutation of range(size), seed < 2**64."""
+    """The one seeded draw: PCG64's permutation of range(size), by a checked seed."""
     # numpy is imported only by the functions that compute with it, so
     # importing eprnet, routing and rate tables never load it; once it is
     # loaded, each of these imports is a sys.modules lookup.
     import numpy as np
 
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise AllocationError(f"shuffle seed must be an int, got {seed!r}")
-    if not 0 <= seed < 1 << 64:
-        bound = ">= 0" if seed < 0 else "< 2**64"
-        raise AllocationError(f"shuffle seed must be {bound}, got {seed}")
     return np.random.Generator(np.random.PCG64(seed)).permutation(size)
 
 
@@ -439,8 +445,9 @@ def random_balanced(instance: AllocationInstance, rng_seed: int) -> Allocation:
     if rng_seed is None:
         raise AllocationError("the random strategy requires a seed")
     k, m = instance.pair_count, instance.channel_count
+    order = _shuffled(m, _seed_word(rng_seed, "shuffle seed"))
     assign = np.empty(m, dtype=np.int64)
-    assign[_shuffled(m, rng_seed)] = np.arange(m) % k  # cyclic deal, shuffled order
+    assign[order] = np.arange(m) % k  # cyclic deal, shuffled order
     return _finish(instance, assign.tolist())
 
 

@@ -34,6 +34,7 @@ from .allocation import (
     modified_lpt,
     random_balanced,
     round_robin,
+    _seed_word,
     _shuffled,
 )
 from .metrics import jain_index, normalization_reference, normalized_min_rate
@@ -91,25 +92,11 @@ def splitmix64(value: int) -> int:
     return z ^ (z >> 31)
 
 
-def _seed_word(value: object, what: str) -> int:
-    """``value`` if it is an int in 0..2**64-1; a ConfigError otherwise."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{what} must be an int, got {value!r}")
-    if not 0 <= value <= _MASK64:
-        bound = ">= 0" if value < 0 else "< 2**64"
-        raise ConfigError(f"{what} must be {bound}, got {value}")
-    return int(value)
-
-
 def derive_seed(master: int, *indices: int) -> int:
     """Fold sweep coordinates, each an int in 0..2**64-1, into a run seed."""
-    seed = master
-    if not (type(seed) is int and 0 <= seed <= _MASK64):
-        seed = _seed_word(master, "master seed")
+    seed = _seed_word(master, "master seed", ConfigError)
     for index in indices:
-        if not (type(index) is int and 0 <= index <= _MASK64):
-            index = _seed_word(index, "seed index")
-        seed = splitmix64(seed ^ index)
+        seed = splitmix64(seed ^ _seed_word(index, "seed index", ConfigError))
     return seed
 
 
@@ -155,7 +142,7 @@ class ExperimentConfig:
                 f"unknown strategies: {', '.join(sorted(unknown))}; "
                 f"known: {', '.join(ALL_STRATEGIES)}"
             )
-        _seed_word(self.seed, "seed")
+        _seed_word(self.seed, "seed", ConfigError)
         if self.channels < 1:
             raise ConfigError(f"channels must be >= 1, got {self.channels}")
         if min(self.wss_losses) < 0:
@@ -273,6 +260,11 @@ def run_placement_sweep(config: ExperimentConfig) -> ExperimentReport:
     grid = config.grid()
     profile = config.profile()
     rates = generation_rates(grid, profile)
+    if rates.total == 0:
+        raise ConfigError(
+            f"the spectrum's {config.channels} channel rates total 0 (peak_rate "
+            f"{config.peak_rate:g}, fwhm_nm {config.fwhm_nm:g}), and so would "
+            "every min rate and the normalization reference")
     sources = config.sources if config.sources is not None else topology.node_ids
     known = set(topology.node_ids)
     for s in sources:
@@ -323,13 +315,13 @@ def _run_strategy(config: ExperimentConfig, instance: AllocationInstance,
     jains: list[float] = []
     status = "ok"
     proven = None  # a gated strategy's first proven optimum
+    # derive_seed's chain, its last step taken here per run.
+    row_seed = derive_seed(config.seed, loss_idx, source_idx, strategy_idx)
     for run_idx in range(runs):
         allocation = proven
         if allocation is None:
-            run_seed = derive_seed(config.seed, loss_idx, source_idx,
-                                   strategy_idx, run_idx)
             allocation, completed = allocate_once(
-                instance, strategy, seed=run_seed,
+                instance, strategy, seed=splitmix64(row_seed ^ run_idx),
                 node_budget=config.exact_node_budget)
             if not completed:
                 status = "budget"
@@ -363,7 +355,7 @@ def allocate_once(instance: AllocationInstance, strategy: str, *,
     if strategy not in _STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
     if seed is not None:
-        _seed_word(seed, "seed")
+        _seed_word(seed, "seed", ConfigError)
     result = _STRATEGIES[strategy][0](instance, seed, node_budget)
     if isinstance(result, ExactResult):
         return result.allocation, result.optimal

@@ -247,7 +247,10 @@ def transmittance(loss_db: float) -> float:
     """Convert a loss in dB to a power/probability transmittance."""
     if not (0 <= loss_db < math.inf):  # also rejects NaN
         raise ValueError(f"loss must be finite and >= 0 dB, got {loss_db}")
-    return 10.0 ** (-loss_db / 10.0)
+    eta = 10.0 ** (-loss_db / 10.0)
+    if eta == 0.0:  # beyond about 3,236 dB
+        raise ValueError(f"loss {loss_db:g} dB underflows transmittance to 0")
+    return eta
 
 
 def gen_vertex() -> Vertex:
@@ -286,7 +289,8 @@ def build_routing_graph(topology: PhysicalTopology, source: str,
                         loss: LossParams) -> RoutingGraph:
     """Expand a topology into the directed loss graph for one source, the
     site hosting the generator.  Vertex and edge order are deterministic:
-    edge ids break the router's ties."""
+    edge ids break the router's ties.  A hop loss past the largest float
+    is refused with a ValueError naming the link."""
     topology.node(source)
     node_ids = topology.node_ids
     # Each vertex tuple is made once and shared by all edges at it.
@@ -296,14 +300,21 @@ def build_routing_graph(topology: PhysicalTopology, source: str,
     vertices = [switches[source], *mems.values()]
     vertices += [switches[i] for i in node_ids if i != source]
 
+    wss, transit_db = loss.wss_loss_db, 2 * loss.wss_loss_db
     fiber_db: dict[tuple[str, str], float] = {}
     for link in topology.links:
-        db = loss.fiber_loss_db_per_km * link_distance(topology, link.a, link.b)
+        km = link_distance(topology, link.a, link.b)
+        db = loss.fiber_loss_db_per_km * km
+        # The router refuses an infinite link; an overflow is the loss's.
+        if math.isfinite(km) and not math.isfinite(transit_db + db):
+            raise ValueError(
+                f"link {link.a}-{link.b}: hop loss 2 x wss_loss_db {wss:g} + "
+                f"fiber_loss_db_per_km {loss.fiber_loss_db_per_km:g} x {km:g} km"
+                " is not finite")
         fiber_db[link.a, link.b] = fiber_db[link.b, link.a] = db
     # Each switch's hops in neighbour order, then its drop; fibers never
     # point at the source.
     edges: list[GraphEdge] = []
-    wss, transit_db = loss.wss_loss_db, 2 * loss.wss_loss_db
     for i, switch in switches.items():
         edges += [GraphEdge(switch, switches[k], transit_db, fiber_db[i, k], "fiber")
                   for k in topology.neighbors(i) if k != source]

@@ -243,8 +243,12 @@ def all_pair_routes(graph: RoutingGraph) -> RouteTable:
         if paths is None:
             infeasible.append(pair)
             continue
-        total = math.fsum(losses[eid] for losses in (switch_dbs, fiber_dbs)
-                          for path in paths for eid in path)
+        try:
+            total = math.fsum(losses[eid] for losses in (switch_dbs, fiber_dbs)
+                              for path in paths for eid in path)
+        except OverflowError:  # a loss past the largest float, hop by finite hop
+            raise RoutingError(f"pair {pair[0]}-{pair[1]}: route loss overflows to inf "
+                               "dB, and its transmittance underflows to 0") from None
         plans[pair] = RoutePlan(pair=pair, path_a=paths[0], path_b=paths[1],
                                 total_loss_db=total, eta=transmittance(total))
     return RouteTable(graph.source, plans, tuple(infeasible))

@@ -566,11 +566,13 @@ class TestShuffled:
         (True, "must be an int, got True"),
         (2.0, "must be an int, got 2.0"),
         (np.int64(3), "must be an int, got "),
-        (None, "must be an int, got None"),
     ])
     def test_rejects_all_but_a_64_bit_word(self, seed, message):
+        # _shuffled trusts its callers; random_balanced checks its seed
+        # (None: test_missing_seed_rejected) and allocate_once the sweep's.
+        inst = make_instance([1.0, 1.0], [1.0] * 4)
         with pytest.raises(AllocationError, match=re.escape(message)):
-            _shuffled(4, seed)
+            random_balanced(inst, seed)
 
     def test_random_strategy_refuses_seed_above_64_bits(self):
         # numpy's PCG64 would take it; the sweep's seeds never reach it.

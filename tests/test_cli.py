@@ -33,6 +33,16 @@ def assert_one_line_error(code, err):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+def chain3(tmp_path):
+    """The chain a-b-c: from a, b and c share the one fiber a->b."""
+    doc = {"name": "chain3", "nodes": [{"id": i} for i in "abc"],
+           "links": [{"a": "a", "b": "b", "distance_km": 1.0},
+                     {"a": "b", "b": "c", "distance_km": 1.0}]}
+    path = tmp_path / "chain3.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 class TestRates:
     def test_prints_every_channel(self, capsys):
         code, out, err = run(capsys, "rates", "--channels", "8")
@@ -110,6 +120,28 @@ class TestRoute:
                            "--source", "s", "--pair", "a", "b")
         assert code == 1
 
+    def test_infeasible_pair_in_table_fails(self, capsys, tmp_path):
+        code, out, err = run(capsys, "route", "--topology", chain3(tmp_path),
+                             "--source", "a")
+        assert code == 1
+        assert out.splitlines()[-1].split() == ["b-c", "infeasible"]
+        assert err == ""
+
+    @pytest.mark.parametrize("flag, value, cause", [
+        ("--wss-db", "1e308", "link A-B: hop loss 2 x wss_loss_db 1e+308 + "
+                              "fiber_loss_db_per_km 0.4 x 3.4 km is not finite"),
+        ("--fiber-db-per-km", "1e308", "link A-B: hop loss 2 x wss_loss_db 8 + "
+                                       "fiber_loss_db_per_km 1e+308 x 3.4 km is not finite"),
+        ("--fiber-db-per-km", "1e306", "underflows transmittance to 0"),
+    ])
+    def test_overflowing_or_underflowing_loss_is_one_line_error(
+            self, capsys, flag, value, cause):
+        code, out, err = run(capsys, "route", "--topology", "simple6",
+                             "--source", "A", flag, value)
+        assert_one_line_error(code, err)
+        assert cause in err
+        assert out == ""
+
     def test_unknown_topology_reports_error(self, capsys):
         code, _, err = run(capsys, "route", "--topology", "missing9",
                            "--source", "A")
@@ -172,6 +204,13 @@ class TestRoute:
 
 
 class TestAllocate:
+    def test_unroutable_placement_fails(self, capsys, tmp_path):
+        code, out, err = run(capsys, "allocate", "--topology", chain3(tmp_path),
+                             "--source", "a", "--strategy", "lpt")
+        assert code == 1
+        assert out == ""
+        assert err == "placement a cannot route: b-c\n"
+
     def test_lpt_smoke(self, capsys):
         code, out, _ = run(capsys, "allocate", "--topology", "simple6",
                            "--source", "A", "--strategy", "lpt",
@@ -394,6 +433,47 @@ class TestSweep:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "reference" in lines[0]
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("flags", [("--peak-rate", "0"),
+                                       ("--fwhm-nm", "1e-3", "--channels", "10")])
+    def test_zero_total_spectrum_refused_before_routing(self, capsys, tmp_path,
+                                                        monkeypatch, flags):
+        def refuse(*args):
+            raise AssertionError("routed a sweep with no generation rate")
+
+        monkeypatch.setattr("eprnet.harness.build_routing_graph", refuse)
+        code, out, err = run(capsys, "sweep", "--topology", "ilec17",
+                             "--seed", "1", "--runs", "1", *flags,
+                             "--out", str(tmp_path / "x.csv"))
+        assert_one_line_error(code, err)
+        assert "the spectrum's" in err and "rates total 0" in err
+        assert out == ""
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_underflowing_loss_is_one_line_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "sweep", "--topology", "simple6",
+                             "--seed", "1", "--runs", "1",
+                             "--fiber-db-per-km", "1e300",
+                             "--out", str(tmp_path / "x.csv"))
+        assert_one_line_error(code, err)
+        assert "underflows transmittance to 0" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_config_array_is_one_line_error(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps([{"topology_path": "simple6", "seed": 1}]))
+        code, out, err = run(capsys, "sweep", "--config", str(path),
+                             "--out", str(tmp_path / "x.csv"))
+        assert err == "error: config must be a JSON object\n"
+        assert code == 1 and out == ""
+
+    def test_unknown_source_is_one_line_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "sweep", "--topology", chain3(tmp_path),
+                             "--seed", "1", "--sources", "z",
+                             "--out", str(tmp_path / "x.csv"))
+        assert err == "error: unknown source node 'z'\n"
+        assert code == 1 and out == ""
         assert not (tmp_path / "x.csv").exists()
 
     def test_bad_config_type_is_one_line_error(self, capsys, tmp_path):

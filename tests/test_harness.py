@@ -101,6 +101,14 @@ class TestSeeding:
         with pytest.raises(ConfigError, match=f"seed index must be .*, got {index}$"):
             derive_seed(1, index, 0)
 
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=5, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_run_seed_is_one_step_past_the_row_seed(self, words):
+        # The sweep derives each row's seed once and takes this last step per run.
+        master, a, b, c, r = words
+        assert (splitmix64(derive_seed(master, a, b, c) ^ r)
+                == derive_seed(master, a, b, c, r))
+
     def test_derive_seed_accepts_64_bit_edges(self):
         top = 2 ** 64 - 1
         assert derive_seed(top, 0, top) == splitmix64(splitmix64(top) ^ top)
@@ -525,6 +533,26 @@ class TestPlot:
         texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
         assert set(ids) <= set(texts)
         assert any(t.startswith("R&D <lab>: switch loss") for t in texts if t)
+
+    def test_no_bar_for_skipped_or_budget_rows(self, tmp_path):
+        # From a, the chain a-b-c cannot route b-c; exact is gated off.
+        topology = tmp_path / "chain3.json"
+        topology.write_text(json.dumps({
+            "name": "chain3", "nodes": [{"id": i} for i in "abc"],
+            "links": [{"a": "a", "b": "b", "distance_km": 1.0},
+                      {"a": "b", "b": "c", "distance_km": 1.0}],
+        }))
+        config = ExperimentConfig(topology_path=str(topology), seed=1, runs=2,
+                                  channels=8, sources=("a", "b"),
+                                  strategies=("exact", "lpt"), exact_max_mk=0)
+        report, root = self.render(tmp_path, config)
+        assert [(r.source_node, r.strategy, r.status) for r in report.rows] == [
+            ("a", "exact", "skipped"), ("a", "lpt", "skipped"),
+            ("b", "exact", "budget"), ("b", "lpt", "ok")] * 2
+        bars = [el for el in root.iter("{http://www.w3.org/2000/svg}rect")
+                if el.get("class") == "bar"]
+        assert [(b.get("data-source"), b.get("data-strategy")) for b in bars] == [
+            ("b", "lpt")] * 2
 
     def test_empty_report_rejected(self, tmp_path):
         from eprnet import ExperimentReport

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -218,6 +219,38 @@ class TestTransmittance:
     def test_non_finite_rejected(self, loss):
         with pytest.raises(ValueError, match="finite"):
             transmittance(loss)
+
+    def test_underflow_to_zero_rejected(self):
+        # 10**-323.6 is the smallest subnormal; a little further rounds to 0.
+        assert transmittance(3236.0) == 5e-324
+        for loss in (3237.0, 1e300, sys.float_info.max):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"loss {loss:g} dB underflows transmittance to 0")):
+                transmittance(loss)
+
+
+class TestHopLossOverflow:
+    @pytest.mark.parametrize("fiber, wss, km, message", [
+        # LossParams takes 1e308; the hop's two switches make it inf.
+        (0.4, 1e308, 1.0, "2 x wss_loss_db 1e+308 + fiber_loss_db_per_km 0.4 x 1 km"),
+        (1e300, 8.0, 1e10, "2 x wss_loss_db 8 + fiber_loss_db_per_km 1e+300 x 1e+10 km"),
+        # Each part is finite; their sum is not.
+        (1e308, 5e307, 1.0,
+         "2 x wss_loss_db 5e+307 + fiber_loss_db_per_km 1e+308 x 1 km"),
+    ])
+    def test_hop_loss_past_the_largest_float_rejected(self, two_node, fiber, wss,
+                                                      km, message):
+        topology = PhysicalTopology("far", two_node.nodes, (Link("s", "a", km),))
+        for source in ("s", "a"):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"link s-a: hop loss {message} is not finite")):
+                build_routing_graph(topology, source, LossParams(fiber, wss))
+
+    def test_largest_finite_hop_builds(self, two_node):
+        wss = sys.float_info.max / 4
+        graph = build_routing_graph(two_node, "s", LossParams(wss, wss))
+        assert {edge.switch_db for edge in graph.edges} == {wss, 2 * wss}
+        assert {edge.fiber_db for edge in graph.edges} == {0.0, wss}
 
 
 class TestLinkDistance:

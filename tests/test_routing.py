@@ -315,6 +315,19 @@ class TestNonFiniteGraphs:
         with pytest.raises(RoutingError, match="invalid fiber_db inf"):
             all_pair_routes(graph)
 
+    def test_route_loss_past_the_largest_float_rejected(self):
+        # Every hop is finite; a and b each lie one 1e308 dB hop out, so
+        # the pair's two routes sum past the largest float.
+        topology = PhysicalTopology(
+            name="far", nodes=tuple(Node(i) for i in "absyz"),
+            links=(Link("s", "y", 1.0), Link("s", "z", 1.0), Link("y", "z", 1.0),
+                   Link("z", "a", 1e308), Link("y", "b", 1e308),
+                   Link("a", "b", 1e308)),
+        )
+        graph = build_routing_graph(topology, "s", LossParams(1.0, 8.0))
+        with pytest.raises(RoutingError, match="pair a-b: route loss overflows"):
+            all_pair_routes(graph)
+
 
 def _tie_heavy_topology(rng: random.Random, tree: bool):
     """Random connected topology whose links share a few lengths.
