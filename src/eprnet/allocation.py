@@ -19,10 +19,11 @@ Channel and pair indices are 0-based throughout.  Received rates are
 always computed the same way (per pair, the exactly rounded sum of its
 channel rates, ``math.fsum``, times its transmittance), so independently
 produced allocations with the same assignment compare bit-for-bit equal.
-``_finish`` is the one place that groups an assignment by pair; each
-strategy's own assignment is turned into rates there once, without a
-re-check.  The tests hold every strategy to an independent rate oracle
-(``tests/oracles.py::reference_received``).
+``_finish`` groups a strategy's own assignment by pair, without a re-check;
+first-fit, round-robin and random sum their blocks, slots and deal in cores
+shared with row kernels, which a sweep builds once per instance to return
+each run's rates.  The tests hold every strategy to an independent rate
+oracle (``tests/oracles.py::reference_received``).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .spectrum import RateVector
 
@@ -103,8 +104,11 @@ def _finish(instance: AllocationInstance, assignment: Sequence[int]) -> Allocati
 def _validated_order(order: Sequence[int] | None, k: int) -> list[int]:
     if order is None:
         return list(range(k))
-    order = [int(p) for p in order]
-    if sorted(order) != list(range(k)):
+    try:  # int() would take 1.7, True or '1' for pair 1
+        order = [operator.index(p) for p in order if not isinstance(p, bool)]
+    except TypeError:
+        order = None
+    if order is None or sorted(order) != list(range(k)):
         raise AllocationError(f"pair_order must be a permutation of 0..{k - 1}")
     return order
 
@@ -330,10 +334,20 @@ def first_fit(
     short rate is S (over the rates just before each block's last channel
     and the failing pair's final rate) fails at every target above S.
     """
-    k, m = instance.pair_count, instance.channel_count
-    order = _validated_order(pair_order, k)
-    n = instance.rates.rates
-    pair_etas = [instance.etas[p] for p in order]
+    order = _validated_order(pair_order, instance.pair_count)
+    ends, received = _first_fit_blocks(instance, fractional_optimum(instance), order)
+    assign: list[int] = []
+    for p, end in zip(order, ends):
+        assign += [p] * (end + 1 - len(assign))
+    return Allocation(tuple(assign), tuple(received))
+
+
+def _first_fit_blocks(instance: AllocationInstance, tf: float,
+                      order: Sequence[int]) -> tuple[list[int], list[float]]:
+    """First-fit's last channel of each block, in trusted pair ``order``,
+    and received rates; ``tf`` is the fractional optimum."""
+    m, etas, n = instance.channel_count, instance.etas, instance.rates.rates
+    pair_etas = [etas[p] for p in order]
 
     def run_pass(target: float) -> tuple[list[int], bool, float]:
         # Last channel of each block, in pair order; whether every pair
@@ -368,7 +382,6 @@ def first_fit(
         return ends, True, reached
 
     ends, feasible, reached = run_pass(0.0)
-    tf = fractional_optimum(instance)
     if tf > 0 and feasible:
         top, feasible, short = run_pass(tf)
         if feasible:
@@ -391,14 +404,26 @@ def first_fit(
                     else:
                         hi, short = mid, bound
     # The blocks of the last feasible pass are the blocks at lo.  Channels
-    # left over after the last pair's block stay on it.
+    # left over after the last pair's block stay on it; pairs after a
+    # short pass's last block get none.
     ends[-1] = m - 1
-    assign: list[int] = []
-    s = 0
-    for p, end in zip(order, ends):
-        assign += [p] * (end + 1 - s)
-        s = end + 1
-    return _finish(instance, assign)
+    masses = [math.fsum(n[a + 1:b + 1]) for a, b in zip([-1, *ends], ends)]
+    return ends, _placed(etas, order, masses)
+
+
+def _first_fit_row(instance: AllocationInstance) -> Callable[[Sequence[int]], list[float]]:
+    """``first_fit``'s received rates by trusted pair order."""
+    tf = fractional_optimum(instance)
+    return lambda order: _first_fit_blocks(instance, tf, order)[1]
+
+
+def _placed(etas: Sequence[float], order: Sequence[int],
+            masses: Sequence[float]) -> list[float]:
+    """Received rates when pair ``order[j]`` holds rate mass ``masses[j]``."""
+    received = [0.0] * len(etas)
+    for p, mass in zip(order, masses):
+        received[p] = etas[p] * mass
+    return received
 
 
 def round_robin(
@@ -411,7 +436,16 @@ def round_robin(
     assign = [-1] * instance.channel_count
     for pos, x in enumerate(instance.rates.descending):
         assign[x] = order[pos % k]
-    return _finish(instance, assign)
+    return Allocation(tuple(assign), tuple(_round_robin_row(instance)(order)))
+
+
+def _round_robin_row(instance: AllocationInstance) -> Callable[[Sequence[int]], list[float]]:
+    """``round_robin``'s received rates by trusted pair order: slot j, the
+    channels at descending positions j, j + k, ..., goes to pair
+    ``order[j]`` whatever the order, so each slot is summed once."""
+    n, k, desc = instance.rates.rates, instance.pair_count, instance.rates.descending
+    slots = [math.fsum([n[x] for x in desc[j::k]]) for j in range(k)]
+    return lambda order: _placed(instance.etas, order, slots)
 
 
 def _seed_word(value: object, what: str, error: type = AllocationError) -> int:
@@ -445,10 +479,26 @@ def random_balanced(instance: AllocationInstance, rng_seed: int) -> Allocation:
     if rng_seed is None:
         raise AllocationError("the random strategy requires a seed")
     k, m = instance.pair_count, instance.channel_count
-    order = _shuffled(m, _seed_word(rng_seed, "shuffle seed"))
+    shuffle = _shuffled(m, _seed_word(rng_seed, "shuffle seed"))
     assign = np.empty(m, dtype=np.int64)
-    assign[order] = np.arange(m) % k  # cyclic deal, shuffled order
-    return _finish(instance, assign.tolist())
+    assign[shuffle] = np.arange(m) % k  # cyclic deal, shuffled order
+    return Allocation(tuple(assign.tolist()), tuple(
+        _dealt(instance, np.asarray(instance.rates.rates), shuffle)))
+
+
+def _dealt(instance: AllocationInstance, rates: np.ndarray,
+           shuffle: np.ndarray) -> list[float]:
+    """Received rates when channel ``shuffle[i]`` goes to pair i mod k."""
+    nl, k = rates[shuffle].tolist(), instance.pair_count
+    return [eta * math.fsum(nl[p::k]) for p, eta in enumerate(instance.etas)]
+
+
+def _random_row(instance: AllocationInstance) -> Callable[[int], list[float]]:
+    """``random_balanced``'s received rates by trusted seed."""
+    import numpy as np
+
+    rates, m = np.asarray(instance.rates.rates), instance.channel_count
+    return lambda seed: _dealt(instance, rates, _shuffled(m, seed))
 
 
 def _deal_to_poorest(instance: AllocationInstance, assign: list[int],

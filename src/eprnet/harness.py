@@ -34,6 +34,9 @@ from .allocation import (
     modified_lpt,
     random_balanced,
     round_robin,
+    _first_fit_row,
+    _random_row,
+    _round_robin_row,
     _seed_word,
     _shuffled,
 )
@@ -47,11 +50,13 @@ class ConfigError(ValueError):
     """Raised for invalid experiment configurations."""
 
 
-# name -> (run, order_sensitive, gated), in sweep order: it fixes the row
-# order and each strategy's index in the run seeds.  run(instance, seed,
+# name -> (run, row, order_sensitive, gated), in sweep order: it fixes the
+# row order and each strategy's index in the run seeds.  run(instance, seed,
 # node_budget) returns an Allocation, or the exact search's ExactResult; it
 # looks its allocation function up here when called, so patching this
-# module's attribute reaches every run.  Only the strategies that take a pair
+# module's attribute reaches allocate_once and the sweep runs of a strategy
+# without a row.  A sweep calls row(instance) once per row for kernel(seed),
+# run's received rates bit for bit.  Only the strategies that take a pair
 # order derive one from the seed, and random draws its own shuffle from it.
 # Gated (exact-only) strategies get a "budget" row, without running, beyond
 # exact_max_mk channels times pairs, and a sweep reuses their first proven
@@ -60,15 +65,17 @@ _STRATEGIES = {
     "exact": (lambda inst, seed, node_budget:
               exact_maxmin(inst, pair_order=_pair_order(inst, seed),
                            node_budget=node_budget),
-              True, True),
+              None, True, True),
     "first-fit": (lambda inst, seed, _: first_fit(inst, _pair_order(inst, seed)),
-                  True, False),
+                  lambda inst: _ordered(inst, _first_fit_row(inst)), True, False),
     "round-robin": (lambda inst, seed, _: round_robin(inst, _pair_order(inst, seed)),
+                    lambda inst: _ordered(inst, _round_robin_row(inst)),
                     True, False),
-    "random": (lambda inst, seed, _: random_balanced(inst, seed), True, False),
-    "lpt": (lambda inst, *_: modified_lpt(inst), False, False),
-    "bd-matching": (lambda inst, *_: bezakova_matching(inst), False, False),
-    "lp-round": (lambda inst, *_: lp_round(inst), False, False),
+    "random": (lambda inst, seed, _: random_balanced(inst, seed), _random_row,
+               True, False),
+    "lpt": (lambda inst, *_: modified_lpt(inst), None, False, False),
+    "bd-matching": (lambda inst, *_: bezakova_matching(inst), None, False, False),
+    "lp-round": (lambda inst, *_: lp_round(inst), None, False, False),
 }
 ALL_STRATEGIES = tuple(_STRATEGIES)
 
@@ -78,6 +85,11 @@ def _pair_order(instance: AllocationInstance, seed: int | None
     """The pairs shuffled by ``seed``; None keeps their natural order."""
     return (None if seed is None
             else tuple(_shuffled(instance.pair_count, seed).tolist()))
+
+
+def _ordered(instance: AllocationInstance, kernel):
+    """``kernel`` of a pair order, fed the order each run draws from its seed."""
+    return lambda seed: kernel(_pair_order(instance, seed))
 
 
 _MASK64 = (1 << 64) - 1
@@ -306,7 +318,7 @@ def _run_strategy(config: ExperimentConfig, instance: AllocationInstance,
                   topo_name: str, wss: float, source: str, strategy: str,
                   reference: float, loss_idx: int, source_idx: int,
                   strategy_idx: int) -> SweepRow:
-    _, order_sensitive, gated = _STRATEGIES[strategy]
+    _, row, order_sensitive, gated = _STRATEGIES[strategy]
     runs = config.runs if order_sensitive else 1
     if gated and instance.channel_count * instance.pair_count > config.exact_max_mk:
         return _blank_row(topo_name, wss, source, strategy, config.seed, "budget")
@@ -314,21 +326,25 @@ def _run_strategy(config: ExperimentConfig, instance: AllocationInstance,
     min_rates: list[float] = []
     jains: list[float] = []
     status = "ok"
+    kernel = row(instance) if row else None
     proven = None  # a gated strategy's first proven optimum
     # derive_seed's chain, its last step taken here per run.
     row_seed = derive_seed(config.seed, loss_idx, source_idx, strategy_idx)
     for run_idx in range(runs):
-        allocation = proven
-        if allocation is None:
+        seed = splitmix64(row_seed ^ run_idx)
+        received = proven
+        if kernel:
+            received = kernel(seed)
+        elif received is None:
             allocation, completed = allocate_once(
-                instance, strategy, seed=splitmix64(row_seed ^ run_idx),
-                node_budget=config.exact_node_budget)
+                instance, strategy, seed=seed, node_budget=config.exact_node_budget)
+            received = allocation.received
             if not completed:
                 status = "budget"
             elif gated:
-                proven = allocation
-        min_rates.append(allocation.min_rate)
-        jains.append(jain_index(allocation.received))
+                proven = received
+        min_rates.append(min(received))
+        jains.append(jain_index(received))
 
     mean_min, std_min = _mean_std(min_rates)
     mean_jain, std_jain = _mean_std(jains)

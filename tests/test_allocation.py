@@ -35,6 +35,7 @@ from eprnet import (
     round_robin,
 )
 import eprnet.allocation
+from eprnet import harness
 from eprnet.allocation import _finish, _matching_rounds, _shuffled
 from oracles import (
     enumerate_best_min,
@@ -121,9 +122,10 @@ def tie_prone_instance(rng: random.Random) -> AllocationInstance:
 
 
 @functools.lru_cache(maxsize=None)
-def bundled_instances(name: str) -> tuple[AllocationInstance, ...]:
+def bundled_instances(name: str, channels: int = 200
+                      ) -> tuple[AllocationInstance, ...]:
     """Every routable placement of a bundled topology at 4 and 8 dB."""
-    config = ExperimentConfig(topology_path=name, seed=1)
+    config = ExperimentConfig(topology_path=name, seed=1, channels=channels)
     rates = generation_rates(config.grid(), config.profile())
     topology = load_topology(name)
     found = []
@@ -396,6 +398,13 @@ class TestExactMaxmin:
         with pytest.raises(AllocationError):
             exact_maxmin(inst, pair_order=[0, 0])
 
+    @pytest.mark.parametrize("order", [[0.9, 1.7], [True, False], ["1", "0"]])
+    def test_non_int_pair_order_rejected(self, order):
+        # int() would have run these as the order [0, 1] or [1, 0].
+        inst = make_instance([1.0, 1.0], [1.0, 1.0])
+        with pytest.raises(AllocationError, match="permutation"):
+            exact_maxmin(inst, pair_order=order)
+
     @pytest.mark.parametrize("budget", [0, -1, math.nan, 2.5, True])
     def test_node_budget_below_one_rejected(self, budget):
         # A NaN budget would never stop the search; True would pass as 1.
@@ -424,6 +433,17 @@ class TestFirstFit:
     def test_single_pair_takes_everything(self):
         inst = make_instance([0.5], [1.0, 2.0])
         assert first_fit(inst).assignment == (0, 0)
+
+    @pytest.mark.parametrize("order", [[0.9, 1.7], [True, False], ["1", "0"]])
+    def test_non_int_pair_order_rejected(self, order):
+        # int() would have run these as the order [0, 1] or [1, 0].
+        inst = make_instance([1.0, 1.0], [1.0, 1.0])
+        with pytest.raises(AllocationError, match="permutation"):
+            first_fit(inst, order)
+
+    def test_numpy_int_pair_order_accepted(self):
+        inst = make_instance([1.0, 0.5], [1.0, 2.0, 3.0])
+        assert first_fit(inst, np.array([1, 0])) == first_fit(inst, [1, 0])
 
     @pytest.mark.parametrize("case", range(30))
     def test_never_beats_exact(self, case):
@@ -544,6 +564,13 @@ class TestRoundRobin:
         inst = make_instance([1.0], [1.0, 5.0])
         assert round_robin(inst).assignment == (0, 0)
 
+    @pytest.mark.parametrize("order", [[0.9, 1.7], [True, False], ["1", "0"]])
+    def test_non_int_pair_order_rejected(self, order):
+        # int() would have run these as the order [0, 1] or [1, 0].
+        inst = make_instance([1.0, 1.0], [1.0, 1.0])
+        with pytest.raises(AllocationError, match="permutation"):
+            round_robin(inst, order)
+
     @given(instances())
     @settings(max_examples=60, deadline=None)
     def test_counts_balanced(self, inst):
@@ -551,6 +578,24 @@ class TestRoundRobin:
         counts = [allocation.assignment.count(q) for q in range(inst.pair_count)]
         assert max(counts) - min(counts) <= 1
         assert_partition(inst, allocation)
+
+
+class TestRowKernels:
+    # A sweep row builds first-fit's, round-robin's and random's kernel once
+    # per instance; each run's received rates must be the public
+    # function's, bit for bit, also with fewer channels than pairs.
+    @pytest.mark.parametrize("topology, channels", [
+        ("simple6", 200), ("ilec17", 200), ("simple6", 10)])
+    @pytest.mark.parametrize("strategy", ["first-fit", "round-robin", "random"])
+    def test_kernel_equals_public_function(self, topology, channels, strategy):
+        row = harness._STRATEGIES[strategy][1]
+        for i, inst in enumerate(bundled_instances(topology, channels)):
+            kernel = row(inst)
+            for run in range(20):
+                seed = derive_seed(27, i, run)
+                want = allocate_once(inst, strategy, seed=seed)[0].received
+                assert list(map(float.hex, kernel(seed))) == list(
+                    map(float.hex, want)), (i, run)
 
 
 class TestShuffled:

@@ -93,3 +93,29 @@ def test_first_op_seconds_summarized_without_a_verdict():
     assert summary["first_op_s"] == {
         side: {"median": value, "q1": value, "q3": value}
         for side, value in (("parent", 1.0), ("change", 1.1))}
+
+
+def test_claim_verdict_is_the_runs_last_line(monkeypatch, tmp_path, capsys):
+    # Stand-ins for the exports and the runs: one pair the change wins.
+    def fake_measure(checkouts, workload, seeds, seconds):
+        pair = {"seed": seeds[0], "first": "parent"}
+        for side, sweep_s in (("parent", 1.0), ("change", 0.5)):
+            pair.update({f"{side}_sweep_s": sweep_s,
+                         f"{side}_min_rate_ratio": 0.5,
+                         f"{side}_first_op_s": 1.0, f"{side}_attempted": 3,
+                         f"{side}_failed": 0, f"{side}_correct": True})
+        return [pair]
+
+    monkeypatch.setattr(bench_ab, "benchmark", lambda: (
+        1.0, {"sweep_s": SWEEP_S, "min_rate_ratio": MIN_RATE}))
+    monkeypatch.setattr(bench_ab, "recorded_seeds", lambda: [])
+    monkeypatch.setattr(bench_ab, "export", lambda rev, dest: rev)
+    monkeypatch.setattr(bench_ab, "tree_digest", lambda path: "same")
+    monkeypatch.setattr(bench_ab, "measure", fake_measure)
+    out = tmp_path / "BENCH.json"
+    assert bench_ab.main(["--workload", "w", "--pairs", "1", "--out", str(out),
+                          "--claim", "w:sweep_s"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == ("claim w:sweep_s met: the change won 1 of 1 pairs; the "
+                    "median gap (0.5) against the parent's interquartile "
+                    "range (0)")

@@ -9,11 +9,13 @@ CHANGES.md.
 
 from __future__ import annotations
 
+import ast
 import sys
 from pathlib import Path
 
 import pytest
 
+import eprnet
 from eprnet import ExperimentConfig, emit_csv, run_placement_sweep
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -48,6 +50,25 @@ def test_sweep_csv_matches_golden(case, tmp_path):
     out = tmp_path / f"{case}.csv"
     _write(case, out)
     assert out.read_bytes() == (GOLDEN / f"{case}.csv").read_bytes()
+
+
+# (module, top-level function, call) of each builtin sum() over ints.
+INT_SUMS = {("allocation.py", "exact_maxmin", "sum(ends)")}
+
+
+def test_no_builtin_sum_of_floats():
+    # Builtin sum() compensates its rounding from Python 3.12 on, so a
+    # float sum through it would make these bytes depend on the
+    # interpreter: every float sum is math.fsum or left to right.
+    calls = set()
+    for path in sorted(Path(eprnet.__file__).resolve().parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "sum"):
+                    calls.add((path.name, getattr(top, "name", None),
+                               ast.unparse(node)))
+    assert calls == INT_SUMS
 
 
 if __name__ == "__main__":

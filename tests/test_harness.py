@@ -370,29 +370,47 @@ class TestSweep:
         assert len(set(calls)) == len(calls)
 
     def test_strategies_run_through_module_names(self, monkeypatch):
-        # Patching a harness attribute must reach every run (the benchmark's
-        # tracer relies on it).  The exact search runs once: its first
-        # proven optimum serves the other two runs.
+        # Patching a harness attribute must reach every sweep run of a
+        # strategy without a row kernel (the benchmark's tracer relies on
+        # it).  The exact search runs once: its first proven optimum serves
+        # the other two runs.  First-fit, round-robin and random run their
+        # row kernels and never call the public functions.
         from eprnet import harness
         calls = []
-        for name in ("exact_maxmin", "first_fit", "round_robin",
-                     "random_balanced", "modified_lpt", "bezakova_matching",
+        for name in ("exact_maxmin", "modified_lpt", "bezakova_matching",
                      "lp_round"):
             def counting(*args, _name=name, _fn=getattr(harness, name), **kw):
                 calls.append(_name)
                 return _fn(*args, **kw)
             monkeypatch.setattr(harness, name, counting)
+        for name in ("first_fit", "round_robin", "random_balanced"):
+            def forbidden(*args, _name=name, **kw):
+                raise AssertionError(f"the sweep called {_name}")
+            monkeypatch.setattr(harness, name, forbidden)
         ring4 = Path(__file__).resolve().parent / "golden" / "ring4.json"
         config = small_config(topology_path=str(ring4), sources=("a",),
                               strategies=ALL_STRATEGIES, runs=3, channels=8)
         rows = run_placement_sweep(config).rows
-        assert calls == [
-            "exact_maxmin", *["first_fit"] * 3, *["round_robin"] * 3,
-            *["random_balanced"] * 3, "modified_lpt", "bezakova_matching",
-            "lp_round",
-        ]
+        assert calls == ["exact_maxmin", "modified_lpt", "bezakova_matching",
+                         "lp_round"]
         assert rows[0].strategy == "exact" and rows[0].status == "ok"
         assert rows[0].runs == 3 and rows[0].std_min_rate == 0.0
+        assert [(r.strategy, r.status, r.runs) for r in rows[1:4]] == [
+            ("first-fit", "ok", 3), ("round-robin", "ok", 3),
+            ("random", "ok", 3)]
+
+    @pytest.mark.parametrize("exact_max_mk, status", [(48, "ok"),
+                                                       (47, "budget")])
+    def test_exact_runs_up_to_exact_max_mk(self, exact_max_mk, status):
+        # ring4's source a serves 6 pairs: 8 channels make 48, which the
+        # gate still runs; only beyond it is the row "budget".
+        ring4 = Path(__file__).resolve().parent / "golden" / "ring4.json"
+        config = small_config(topology_path=str(ring4), sources=("a",),
+                              strategies=("exact",), runs=2, channels=8,
+                              exact_max_mk=exact_max_mk)
+        (row,) = run_placement_sweep(config).rows
+        assert row.status == status
+        assert row.runs == (2 if status == "ok" else 0)
 
     def test_each_placement_routed_once_per_loss(self, monkeypatch):
         from eprnet import harness, metrics

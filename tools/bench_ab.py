@@ -24,10 +24,11 @@ workload the pairs, the change's sweep_s wins, the median and inclusive
 quartiles of each end-to-end metric per side, and the ops attempted and
 failed.  With ``--claim WORKLOAD:METRIC`` it states whether the change
 wins at least 9 of 10 pairs and its median beats the parent's by more
-than the parent's interquartile range.  Each metric also records by how
-much the change's median is worse than the parent's, as a fraction of the
-parent's, and reads it against its bound in ``BENCHMARK.json``: "within
-bound", "worse", or "unresolved" where the parent's interquartile range is
+than the parent's interquartile range, and prints that verdict as the
+run's last line.  Each metric also records by how much the change's
+median is worse than the parent's, as a fraction of the parent's, and
+reads it against its bound in ``BENCHMARK.json``: "within bound",
+"worse", or "unresolved" where the parent's interquartile range is
 wider than the bound and not every change run beats every parent run.
 
 Each run's ``first_op_s`` is also kept: the wall time of its first op,
@@ -292,6 +293,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"{workload}: change won {summary['change_won']} of "
               f"{len(summary['pairs'])} pairs on sweep_s; ops failed "
               f"{summary['ops_failed']}")
+    if doc["claim"]:
+        met = "met" if doc["claim"]["met"] else "not met"
+        print(f"claim {args.claim} {met}: {doc['claim']['why']}")
     return 0
 
 
