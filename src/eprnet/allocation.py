@@ -19,11 +19,13 @@ Channel and pair indices are 0-based throughout.  Received rates are
 always computed the same way (per pair, the exactly rounded sum of its
 channel rates, ``math.fsum``, times its transmittance), so independently
 produced allocations with the same assignment compare bit-for-bit equal.
-``_finish`` groups a strategy's own assignment by pair, without a re-check;
-first-fit, round-robin and random sum their blocks, slots and deal in cores
-shared with row kernels, which a sweep builds once per instance to return
-each run's rates.  The tests hold every strategy to an independent rate
-oracle (``tests/oracles.py::reference_received``).
+Every strategy's rates come from ``_finish``, the one rate rule.  Each
+seed's one draw, ``_shuffled``, is made here: a pair order
+(``_pair_order``) or random's channel shuffle.  A sweep calls the row
+kernels of first-fit, round-robin and random, built once per instance,
+with each run's seed; they sum blocks or slots bit for bit as ``_finish``.
+The tests hold every strategy to an independent rate oracle
+(``tests/oracles.py::reference_received``).
 """
 
 from __future__ import annotations
@@ -335,11 +337,11 @@ def first_fit(
     and the failing pair's final rate) fails at every target above S.
     """
     order = _validated_order(pair_order, instance.pair_count)
-    ends, received = _first_fit_blocks(instance, fractional_optimum(instance), order)
+    ends, _ = _first_fit_blocks(instance, fractional_optimum(instance), order)
     assign: list[int] = []
     for p, end in zip(order, ends):
         assign += [p] * (end + 1 - len(assign))
-    return Allocation(tuple(assign), tuple(received))
+    return _finish(instance, assign)
 
 
 def _first_fit_blocks(instance: AllocationInstance, tf: float,
@@ -411,10 +413,10 @@ def _first_fit_blocks(instance: AllocationInstance, tf: float,
     return ends, _placed(etas, order, masses)
 
 
-def _first_fit_row(instance: AllocationInstance) -> Callable[[Sequence[int]], list[float]]:
-    """``first_fit``'s received rates by trusted pair order."""
-    tf = fractional_optimum(instance)
-    return lambda order: _first_fit_blocks(instance, tf, order)[1]
+def _first_fit_row(instance: AllocationInstance) -> Callable[[int], list[float]]:
+    """``first_fit``'s received rates by trusted seed."""
+    tf, k = fractional_optimum(instance), instance.pair_count
+    return lambda seed: _first_fit_blocks(instance, tf, _pair_order(k, seed))[1]
 
 
 def _placed(etas: Sequence[float], order: Sequence[int],
@@ -431,21 +433,17 @@ def round_robin(
     pair_order: Sequence[int] | None = None,
 ) -> Allocation:
     """Deal channels cyclically in descending-rate order (ties by index)."""
-    k = instance.pair_count
-    order = _validated_order(pair_order, k)
-    assign = [-1] * instance.channel_count
-    for pos, x in enumerate(instance.rates.descending):
-        assign[x] = order[pos % k]
-    return Allocation(tuple(assign), tuple(_round_robin_row(instance)(order)))
+    order = _validated_order(pair_order, instance.pair_count)
+    return _dealt(instance, instance.rates.descending, order)
 
 
-def _round_robin_row(instance: AllocationInstance) -> Callable[[Sequence[int]], list[float]]:
-    """``round_robin``'s received rates by trusted pair order: slot j, the
-    channels at descending positions j, j + k, ..., goes to pair
-    ``order[j]`` whatever the order, so each slot is summed once."""
-    n, k, desc = instance.rates.rates, instance.pair_count, instance.rates.descending
-    slots = [math.fsum([n[x] for x in desc[j::k]]) for j in range(k)]
-    return lambda order: _placed(instance.etas, order, slots)
+def _round_robin_row(instance: AllocationInstance) -> Callable[[int], list[float]]:
+    """``round_robin``'s received rates by trusted seed: slot j, the channels
+    at descending positions j, j + k, ..., goes to pair ``order[j]`` whatever
+    the order, so each slot is summed once."""
+    n, k = instance.rates.rates, instance.pair_count
+    slots = _slot_sums([n[x] for x in instance.rates.descending], k)
+    return lambda seed: _placed(instance.etas, _pair_order(k, seed), slots)
 
 
 def _seed_word(value: object, what: str, error: type = AllocationError) -> int:
@@ -469,36 +467,42 @@ def _shuffled(size: int, seed: int) -> np.ndarray:
     return np.random.Generator(np.random.PCG64(seed)).permutation(size)
 
 
+def _pair_order(k: int, seed: int | None) -> tuple[int, ...] | None:
+    """The k pairs shuffled by ``seed``; None keeps their natural order."""
+    return None if seed is None else tuple(_shuffled(k, seed).tolist())
+
+
 def random_balanced(instance: AllocationInstance, rng_seed: int) -> Allocation:
     """Uniformly shuffle channels, then deal so counts differ by <= 1.
 
     ``rng_seed`` is required: None would seed from OS entropy.
     """
-    import numpy as np
-
     if rng_seed is None:
         raise AllocationError("the random strategy requires a seed")
-    k, m = instance.pair_count, instance.channel_count
-    shuffle = _shuffled(m, _seed_word(rng_seed, "shuffle seed"))
-    assign = np.empty(m, dtype=np.int64)
-    assign[shuffle] = np.arange(m) % k  # cyclic deal, shuffled order
-    return Allocation(tuple(assign.tolist()), tuple(
-        _dealt(instance, np.asarray(instance.rates.rates), shuffle)))
-
-
-def _dealt(instance: AllocationInstance, rates: np.ndarray,
-           shuffle: np.ndarray) -> list[float]:
-    """Received rates when channel ``shuffle[i]`` goes to pair i mod k."""
-    nl, k = rates[shuffle].tolist(), instance.pair_count
-    return [eta * math.fsum(nl[p::k]) for p, eta in enumerate(instance.etas)]
+    shuffle = _shuffled(instance.channel_count, _seed_word(rng_seed, "shuffle seed"))
+    return _dealt(instance, shuffle.tolist(), range(instance.pair_count))
 
 
 def _random_row(instance: AllocationInstance) -> Callable[[int], list[float]]:
     """``random_balanced``'s received rates by trusted seed."""
-    import numpy as np
+    n, k, m = instance.rates.rates, instance.pair_count, instance.channel_count
+    return lambda seed: _placed(instance.etas, range(k), _slot_sums(
+        [n[x] for x in _shuffled(m, seed).tolist()], k))
 
-    rates, m = np.asarray(instance.rates.rates), instance.channel_count
-    return lambda seed: _dealt(instance, rates, _shuffled(m, seed))
+
+def _dealt(instance: AllocationInstance, channels: Sequence[int],
+           pairs: Sequence[int]) -> Allocation:
+    """The cyclic deal: channel ``channels[i]`` goes to pair ``pairs[i % k]``."""
+    k = instance.pair_count
+    assign = [0] * instance.channel_count
+    for i, x in enumerate(channels):
+        assign[x] = pairs[i % k]
+    return _finish(instance, assign)
+
+
+def _slot_sums(masses: Sequence[float], k: int) -> list[float]:
+    """Rate mass of each slot j of a cyclic deal: masses j, j + k, ..."""
+    return [math.fsum(masses[j::k]) for j in range(k)]
 
 
 def _deal_to_poorest(instance: AllocationInstance, assign: list[int],

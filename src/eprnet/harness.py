@@ -7,9 +7,10 @@ many runs, each with a freshly shuffled pair order; the others run once.
 
 Randomness policy: every run's seed is derived from the master seed and
 the (loss, source, strategy, run) indices through a splitmix64 chain, and
-the run's one draw is ``allocation._shuffled``, a PCG64 permutation seeded
-with that value.  Results therefore depend only on the configuration,
-never on scheduling or wall clock, and repeated sweeps are byte-identical.
+``allocation`` makes the run's one draw from that value: a PCG64
+permutation of the pairs or, for ``random``, of the channels.  Results
+therefore depend only on the configuration, never on scheduling or wall
+clock, and repeated sweeps are byte-identical.
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ from .allocation import (
     random_balanced,
     round_robin,
     _first_fit_row,
+    _pair_order,
     _random_row,
     _round_robin_row,
     _seed_word,
-    _shuffled,
 )
 from .metrics import jain_index, normalization_reference, normalized_min_rate
 from .netgraph import LossParams, build_routing_graph, load_topology
@@ -56,21 +57,22 @@ class ConfigError(ValueError):
 # looks its allocation function up here when called, so patching this
 # module's attribute reaches allocate_once and the sweep runs of a strategy
 # without a row.  A sweep calls row(instance) once per row for kernel(seed),
-# run's received rates bit for bit.  Only the strategies that take a pair
-# order derive one from the seed, and random draws its own shuffle from it.
+# run's received rates bit for bit.  The seed's draw, a pair order or
+# random's channel shuffle, is made in allocation.
 # Gated (exact-only) strategies get a "budget" row, without running, beyond
 # exact_max_mk channels times pairs, and a sweep reuses their first proven
 # optimum for the remaining runs instead of searching again.
 _STRATEGIES = {
     "exact": (lambda inst, seed, node_budget:
-              exact_maxmin(inst, pair_order=_pair_order(inst, seed),
+              exact_maxmin(inst, pair_order=_pair_order(inst.pair_count, seed),
                            node_budget=node_budget),
               None, True, True),
-    "first-fit": (lambda inst, seed, _: first_fit(inst, _pair_order(inst, seed)),
-                  lambda inst: _ordered(inst, _first_fit_row(inst)), True, False),
-    "round-robin": (lambda inst, seed, _: round_robin(inst, _pair_order(inst, seed)),
-                    lambda inst: _ordered(inst, _round_robin_row(inst)),
-                    True, False),
+    "first-fit": (lambda inst, seed, _:
+                  first_fit(inst, _pair_order(inst.pair_count, seed)),
+                  _first_fit_row, True, False),
+    "round-robin": (lambda inst, seed, _:
+                    round_robin(inst, _pair_order(inst.pair_count, seed)),
+                    _round_robin_row, True, False),
     "random": (lambda inst, seed, _: random_balanced(inst, seed), _random_row,
                True, False),
     "lpt": (lambda inst, *_: modified_lpt(inst), None, False, False),
@@ -78,18 +80,6 @@ _STRATEGIES = {
     "lp-round": (lambda inst, *_: lp_round(inst), None, False, False),
 }
 ALL_STRATEGIES = tuple(_STRATEGIES)
-
-
-def _pair_order(instance: AllocationInstance, seed: int | None
-                ) -> tuple[int, ...] | None:
-    """The pairs shuffled by ``seed``; None keeps their natural order."""
-    return (None if seed is None
-            else tuple(_shuffled(instance.pair_count, seed).tolist()))
-
-
-def _ordered(instance: AllocationInstance, kernel):
-    """``kernel`` of a pair order, fed the order each run draws from its seed."""
-    return lambda seed: kernel(_pair_order(instance, seed))
 
 
 _MASK64 = (1 << 64) - 1

@@ -205,15 +205,17 @@ def all_pair_routes(graph: RoutingGraph) -> RouteTable:
     for eid, tail in enumerate(tails):
         adjacency[tail].append((eid, heads[eid], switch_dbs[eid], fiber_dbs[eid]))
     dist, pred, order = _dijkstra(adjacency, src)
-    # Reduced costs, clamped at 0, of the edges between reached vertices,
-    # summed in the order that ``netgraph`` shows exact.
+    # Reduced costs of the edges between reached vertices, summed in the
+    # order that ``netgraph`` shows exact.  None is negative: the pop of
+    # ``tail`` relaxed the arc to ``(dt + switch_db) + fiber_db``, this very
+    # float (IEEE addition commutes), and ``dist[head]`` is at most that.
     reduced: list[list[_Arc]] = [[] for _ in range(n)]
     for tail, dt in enumerate(dist):
         if dt < math.inf:
             for eid, head, switch_db, fiber_db in adjacency[tail]:
                 if dist[head] < math.inf:
                     cost = fiber_db + (dt + switch_db) - dist[head]
-                    reduced[tail].append((eid, head, cost if cost > 0.0 else 0.0, 0.0))
+                    reduced[tail].append((eid, head, cost, 0.0))
 
     names = {pos: v[1] for v, pos in index.items() if v[0] == "mem"}
     popped = [v for v in order if v in names]  # reachable memories

@@ -434,6 +434,23 @@ class TestFirstFit:
         inst = make_instance([0.5], [1.0, 2.0])
         assert first_fit(inst).assignment == (0, 0)
 
+    def test_resolves_the_target_to_1e_9_relative(self):
+        # Pair 0 reaches its block's rate 1 + 1e-8 only with the tiny
+        # channel, so a bisection coarser than 1e-8 of the fractional
+        # optimum (1.25) stops below it and gives pair 1 that channel.
+        # reference_first_fit carries its own copy of the tolerance, so
+        # the assignment is written out.
+        inst = make_instance([1.0, 1.0], [1.0, 1e-8, 1.5])
+        assert first_fit(inst).assignment == (0, 0, 1)
+
+    def test_probes_a_midpoint_equal_to_the_short_bound(self):
+        # The pass at tf = 2 fails with S = 1, the first midpoint.  Only
+        # targets above S are settled without a pass: at S pair 1 reaches
+        # exactly 1.  Stopping short of S instead, finer than the
+        # bisection resolves, would leave pair 0 at 1 - 2**-40.
+        inst = make_instance([1.0, 1.0], [1 - 2 ** -40, 2 + 2 ** -40, 1.0])
+        assert first_fit(inst).assignment == (0, 0, 1)
+
     @pytest.mark.parametrize("order", [[0.9, 1.7], [True, False], ["1", "0"]])
     def test_non_int_pair_order_rejected(self, order):
         # int() would have run these as the order [0, 1] or [1, 0].
@@ -793,6 +810,17 @@ class TestLpRound:
     def test_single_pair(self):
         inst = make_instance([0.5], [1.0, 2.0])
         assert lp_round(inst).assignment == (0, 0)
+
+    @pytest.mark.parametrize("etas, rates, want", [
+        # Channel 2 ends exactly on pair 0's span boundary, mass 3.
+        ([0.25, 1.0, 1.0], [1.5, 1.0, 0.5, 1.5], (0, 0, 0, 1)),
+        # Channel 1 starts exactly on pair 1's span boundary, mass 1.5.
+        ([1.0, 0.5, 0.5], [1.5, 0.5, 0.25, 0.25], (0, 2, 2, 2)),
+    ])
+    def test_touching_a_boundary_is_not_straddling_it(self, etas, rates, want):
+        # Dyadic rates make the boundaries exact: a channel that only
+        # touches one lies wholly in one span and is not shared.
+        assert lp_round(make_instance(etas, rates)).assignment == want
 
     @pytest.mark.parametrize("case", range(50))
     def test_guarantee_bound(self, case):

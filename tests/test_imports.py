@@ -108,3 +108,18 @@ def test_numpy_and_its_generator_live_in_allocation_only():
                 importers.add(path.name)
     assert importers == {"allocation.py"}
     assert generators == ["allocation.py"]
+
+
+def test_only_allocation_names_the_seeded_draw():
+    # allocation._shuffled is the one seeded draw and _pair_order turns it
+    # into a pair order there; a module naming _shuffled would draw its own.
+    namers = set()
+    for path in sorted(Path(eprnet.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, (ast.alias, ast.FunctionDef))
+                    else None)
+            if name == "_shuffled":
+                namers.add(path.name)
+    assert namers == {"allocation.py"}

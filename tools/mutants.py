@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""A mutation yardstick: does the test suite catch a wrong program?
+
+Run from the root of a checkout:
+
+    python3 tools/mutants.py
+
+The working tree (tracked and untracked files, less the ignored ones) is
+exported once into a temporary directory, as ``tools/bench_ab.py`` exports
+it; the checkout itself is never edited.  Each mutant in ``MUTANTS``
+replaces one text, which must occur exactly once in its file, runs its
+named test subset with ``pytest -x`` in the export, prints ``killed`` (a
+test failed, or the run outlived ``TIMEOUT_S``) or ``survived``, and
+restores the file.  A survivor needs a new test, or its reason states why
+no test can tell it from the program.
+
+Every survivor costs a full run of its subset, so this is not a CI step;
+``tests/test_mutants.py`` only checks that every mutant still applies.
+
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+TIMEOUT_S = 900
+
+
+class Mutant(NamedTuple):
+    file: str  # relative to the checkout's root
+    old: str  # occurs exactly once in ``file``
+    new: str
+    reason: str  # what it breaks, or why it is equivalent
+    tests: tuple[str, ...]  # the subset that should kill it
+
+
+MUTANTS = (
+    Mutant("src/eprnet/metrics.py", "0.0 < peak < 1e-150", "0.0 < peak < 1e-200",
+           "jain_index rescales tiny rates too late: their squares go subnormal",
+           ("tests/test_metrics.py",)),
+    Mutant("src/eprnet/metrics.py", "peak * len(values) > 1e150",
+           "peak * len(values) > 1e200",
+           "jain_index rescales huge rates too late: the squared total overflows",
+           ("tests/test_metrics.py",)),
+    Mutant("src/eprnet/harness.py", "/ (len(values) - 1)", "/ len(values)",
+           "population in place of sample standard deviation",
+           ("tests/test_golden.py",)),
+    Mutant("src/eprnet/allocation.py", "if value > best_value:",
+           "if value >= best_value:",
+           "a leaf that only ties replaces the exact incumbent",
+           ("tests/test_golden.py", "tests/test_allocation.py")),
+    Mutant("src/eprnet/harness.py",
+           "instance.pair_count > config.exact_max_mk",
+           "instance.pair_count >= config.exact_max_mk",
+           "exact is gated off at exactly exact_max_mk channels times pairs",
+           ("tests/test_harness.py",)),
+    Mutant("src/eprnet/allocation.py", "max(1e-9 * tf,", "max(1e-7 * tf,",
+           "first-fit's bisection stops coarser than its stated 1e-9",
+           ("tests/test_allocation.py",)),
+    Mutant("src/eprnet/routing.py", "(eid, head, cost, 0.0)",
+           "(eid, head, cost if cost > 0.0 else 0.0, 0.0)",
+           "equivalent: no reduced cost is negative, see the comment above it",
+           ("tests/test_routing.py", "tests/test_golden.py")),
+    Mutant("src/eprnet/allocation.py", "elif mid > short:", "elif mid >= short:",
+           "a first-fit probe landing exactly on S is taken as infeasible",
+           ("tests/test_allocation.py",)),
+    Mutant("src/eprnet/allocation.py", "boundaries[p] < hi_edge:",
+           "boundaries[p] <= hi_edge:",
+           "lp-round shares a channel that ends exactly on a span boundary",
+           ("tests/test_allocation.py",)),
+    Mutant("src/eprnet/allocation.py", "boundaries[p] <= lo_edge:",
+           "boundaries[p] < lo_edge:",
+           "lp-round shares a channel that starts exactly on a span boundary",
+           ("tests/test_allocation.py",)),
+    Mutant("src/eprnet/allocation.py", "assign[x] = pairs[i % k]",
+           "assign[x] = pairs[(i + 1) % k]",
+           "the cyclic deal starts at the second pair",
+           ("tests/test_allocation.py",)),
+    Mutant("src/eprnet/allocation.py", "fsum(masses[j::k])",
+           "fsum(masses[j::k + 1])",
+           "the row kernels' slots skip channels: only the kernels use them",
+           ("tests/test_allocation.py",)),
+    Mutant("src/eprnet/allocation.py", "tuple(_shuffled(k, seed).tolist())",
+           "tuple(p for p in _shuffled(k + 1, seed).tolist() if p < k)",
+           "a valid pair order from another draw: only pinned bytes tell",
+           ("tests/test_golden.py", "tests/test_allocation.py")),
+)
+
+
+def verdict(root: Path, mutant: Mutant) -> str:
+    """Run ``mutant``'s tests in the export at ``root``, the mutant applied."""
+    path = root / mutant.file
+    original = path.read_text(encoding="utf-8")
+    if original.count(mutant.old) != 1:
+        raise SystemExit(f"{mutant.file}: {mutant.old!r} does not occur exactly once")
+    path.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             *mutant.tests], cwd=root, env=env, capture_output=True, text=True,
+            timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "killed"
+    finally:
+        path.write_text(original, encoding="utf-8")
+    # pytest exits 1 when a test failed; other codes mean the run itself broke.
+    if proc.returncode not in (0, 1):
+        raise SystemExit(f"pytest exited {proc.returncode}:\n{proc.stdout[-2000:]}")
+    return "survived" if proc.returncode == 0 else "killed"
+
+
+def main() -> int:
+    from bench_ab import WORKTREE, export  # beside this script
+
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        root = Path(tmp) / "tree"
+        print(f"exported {export(WORKTREE, root)}", flush=True)
+        for i, mutant in enumerate(MUTANTS):
+            print(f"{i:2} {verdict(root, mutant):8} {mutant.file}: "
+                  f"{mutant.old!r} -> {mutant.new!r} ({mutant.reason})", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
