@@ -28,9 +28,7 @@ from .harness import (
     run_placement_sweep,
 )
 from .metrics import jain_index
-from .netgraph import (
-    LossParams, TopologyError, build_routing_graph, load_topology, mem_vertex,
-)
+from .netgraph import LossParams, build_routing_graph, load_topology, mem_vertex
 from .routing import RoutingError, all_pair_routes, route_nodes
 from .spectrum import (
     ChannelGrid,
@@ -69,8 +67,9 @@ def _add_loss_args(parser: argparse.ArgumentParser) -> None:
                         help="path to a topology JSON, or a bundled name "
                              "(simple6, ilec17)")
     parser.add_argument("--source", required=True, help="source node id")
-    parser.add_argument("--wss-db", type=float, default=8.0,
-                        help="per-switch loss in dB (default 8)")
+    wss = LossParams.wss_loss_db
+    parser.add_argument("--wss-db", type=float, default=wss,
+                        help=f"per-switch loss in dB (default {wss:g})")
     _add_config_flags(parser, [_FIBER_FLAG])
 
 
@@ -243,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, TopologyError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,6 +4,8 @@ A sweep walks every combination of switch loss, source placement, and
 allocation strategy on one topology.  Order-sensitive strategies, whose
 outcome depends on the order node pairs are processed in, are averaged over
 many runs, each with a freshly shuffled pair order; the others run once.
+A run takes its rates from its row's kernel, if any, else ``allocate_once``;
+the exact solver's first proven optimum becomes its row's kernel.
 
 Randomness policy: every run's seed is derived from the master seed and
 the (loss, source, strategy, run) indices through a splitmix64 chain, and
@@ -60,8 +62,8 @@ class ConfigError(ValueError):
 # run's received rates bit for bit.  The seed's draw, a pair order or
 # random's channel shuffle, is made in allocation.
 # Gated (exact-only) strategies get a "budget" row, without running, beyond
-# exact_max_mk channels times pairs, and a sweep reuses their first proven
-# optimum for the remaining runs instead of searching again.
+# exact_max_mk channels times pairs; their first proven optimum becomes the
+# row's kernel and serves the remaining runs without searching again.
 _STRATEGIES = {
     "exact": (lambda inst, seed, node_budget:
               exact_maxmin(inst, pair_order=_pair_order(inst.pair_count, seed),
@@ -112,13 +114,13 @@ class ExperimentConfig:
     strategies: tuple[str, ...] = ALL_STRATEGIES
     runs: int = 1000
     sources: tuple[str, ...] | None = None
-    channels: int = 200
-    channel_width_nm: float = 0.1
-    channel_pitch_nm: float = 0.2
-    center_wavelength_nm: float = 1550.0
-    fwhm_nm: float = 9.0
-    peak_rate: float = 1.0
-    fiber_loss_db_per_km: float = 0.4
+    channels: int = ChannelGrid.channel_count
+    channel_width_nm: float = ChannelGrid.channel_width_nm
+    channel_pitch_nm: float = ChannelGrid.channel_pitch_nm
+    center_wavelength_nm: float = ChannelGrid.center_wavelength_nm
+    fwhm_nm: float = SpectrumProfile.fwhm_nm
+    peak_rate: float = SpectrumProfile.peak_rate
+    fiber_loss_db_per_km: float = LossParams.fiber_loss_db_per_km
     exact_max_mk: int = 512
     exact_node_budget: int = _NODE_BUDGET
     output_path: str | None = None
@@ -235,18 +237,12 @@ class ExperimentReport:
         raise KeyError(f"no reference for wss loss {wss_loss_db}")
 
 
-def _mean_std(values: list[float]) -> tuple[float, float | None]:
+def _mean_std(values: list[float]) -> tuple[float, float]:
     mean = math.fsum(values) / len(values)
     if len(values) < 2:
         return mean, 0.0
     var = math.fsum((v - mean) ** 2 for v in values) / (len(values) - 1)
     return mean, math.sqrt(var)
-
-
-def _blank_row(topology: str, loss: float, source: str, strategy: str,
-               seed: int, status: str) -> SweepRow:
-    return SweepRow(topology, loss, source, strategy, None, None, None,
-                    0, seed, status, None, None)
 
 
 def run_placement_sweep(config: ExperimentConfig) -> ExperimentReport:
@@ -286,65 +282,62 @@ def run_placement_sweep(config: ExperimentConfig) -> ExperimentReport:
         references.append((wss, reference))
         for source_idx, source in enumerate(sources):
             table = tables[source]
-            if table.infeasible:
-                rows.extend(
-                    _blank_row(topology.name, wss, source, strategy,
-                               config.seed, "skipped")
-                    for strategy in config.strategies
-                )
-                continue
-            etas = tuple(plan.eta for plan in table.plans.values())
-            instance = AllocationInstance(etas, rates)
+            instance = None if table.infeasible else AllocationInstance(
+                tuple(plan.eta for plan in table.plans.values()), rates)
             for strategy_idx, strategy in enumerate(config.strategies):
-                rows.append(_run_strategy(
-                    config, instance, topology.name, wss, source, strategy,
-                    reference, loss_idx, source_idx, strategy_idx,
+                row_seed = derive_seed(config.seed, loss_idx, source_idx,
+                                       strategy_idx)
+                rows.append(_sweep_row(
+                    (topology.name, wss, source, strategy), config.seed,
+                    reference, *_run_strategy(config, instance, strategy, row_seed),
                 ))
     return ExperimentReport(topology.name, config.seed, tuple(rows),
                             tuple(references))
 
 
-def _run_strategy(config: ExperimentConfig, instance: AllocationInstance,
-                  topo_name: str, wss: float, source: str, strategy: str,
-                  reference: float, loss_idx: int, source_idx: int,
-                  strategy_idx: int) -> SweepRow:
+def _run_strategy(config: ExperimentConfig, instance: AllocationInstance | None,
+                  strategy: str, row_seed: int,
+                  ) -> tuple[str, list[float], list[float]]:
+    """One row's status and each run's min rate and Jain index; no runs for
+    an unroutable placement (``instance`` None) or a gated-off strategy."""
     _, row, order_sensitive, gated = _STRATEGIES[strategy]
-    runs = config.runs if order_sensitive else 1
+    if instance is None:
+        return "skipped", [], []
     if gated and instance.channel_count * instance.pair_count > config.exact_max_mk:
-        return _blank_row(topo_name, wss, source, strategy, config.seed, "budget")
+        return "budget", [], []
 
     min_rates: list[float] = []
     jains: list[float] = []
     status = "ok"
     kernel = row(instance) if row else None
-    proven = None  # a gated strategy's first proven optimum
-    # derive_seed's chain, its last step taken here per run.
-    row_seed = derive_seed(config.seed, loss_idx, source_idx, strategy_idx)
-    for run_idx in range(runs):
+    for run_idx in range(config.runs if order_sensitive else 1):
+        # derive_seed's chain, its last step taken here per run.
         seed = splitmix64(row_seed ^ run_idx)
-        received = proven
         if kernel:
             received = kernel(seed)
-        elif received is None:
+        else:
             allocation, completed = allocate_once(
                 instance, strategy, seed=seed, node_budget=config.exact_node_budget)
             received = allocation.received
             if not completed:
                 status = "budget"
             elif gated:
-                proven = received
+                kernel = lambda _, proven=received: proven
         min_rates.append(min(received))
         jains.append(jain_index(received))
+    return status, min_rates, jains
 
+
+def _sweep_row(cell: tuple[str, float, str, str], seed: int, reference: float,
+               status: str, min_rates: list[float], jains: list[float]) -> SweepRow:
+    """The CSV row of ``cell`` (topology, loss, source, strategy): blank
+    columns when it has no runs, else its runs' means and deviations."""
+    if not min_rates:
+        return SweepRow(*cell, None, None, None, 0, seed, status, None, None)
     mean_min, std_min = _mean_std(min_rates)
     mean_jain, std_jain = _mean_std(jains)
-    return SweepRow(
-        topology=topo_name, wss_loss_db=wss, source_node=source,
-        strategy=strategy, mean_min_rate=mean_min,
-        mean_min_rate_normalized=normalized_min_rate(mean_min, reference),
-        mean_jain=mean_jain, runs=runs, seed=config.seed, status=status,
-        std_min_rate=std_min, std_jain=std_jain,
-    )
+    return SweepRow(*cell, mean_min, normalized_min_rate(mean_min, reference),
+                    mean_jain, len(min_rates), seed, status, std_min, std_jain)
 
 
 def allocate_once(instance: AllocationInstance, strategy: str, *,

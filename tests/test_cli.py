@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from eprnet.cli import main
-from eprnet.harness import read_csv_rows
+from eprnet.cli import build_parser, main
+from eprnet.harness import ExperimentConfig, read_csv_rows
+from eprnet.netgraph import LossParams
+from eprnet.spectrum import ChannelGrid, SpectrumProfile
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RING4 = GOLDEN / "ring4.json"
@@ -546,3 +548,14 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_defaults_match_the_model_classes(self):
+        # The config fields and the route flags default to the values of
+        # the classes they build, so each default has one home.
+        config = ExperimentConfig(topology_path="simple6", seed=1)
+        assert config.grid() == ChannelGrid()
+        assert config.profile() == SpectrumProfile()
+        args = build_parser().parse_args(["route", "--topology", "simple6",
+                                          "--source", "A"])
+        assert LossParams(config.fiber_loss_db_per_km, args.wss_db) == LossParams()
+        assert args.fiber_loss_db_per_km == config.fiber_loss_db_per_km

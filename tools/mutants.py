@@ -12,10 +12,12 @@ replaces one text, which must occur exactly once in its file, runs its
 named test subset with ``pytest -x`` in the export, prints ``killed`` (a
 test failed, or the run outlived ``TIMEOUT_S``) or ``survived``, and
 restores the file.  A survivor needs a new test, or its reason states why
-no test can tell it from the program.
+no test can tell it from the program, starting ``equivalent:``; the script
+exits 1 when any other mutant survives, so a build can gate on it.
 
 Every survivor costs a full run of its subset, so this is not a CI step;
-``tests/test_mutants.py`` only checks that every mutant still applies.
+``tests/test_mutants.py`` checks only that every mutant still applies and
+that the exit code follows that rule.
 
 Standard library only.
 """
@@ -90,6 +92,23 @@ MUTANTS = (
            "tuple(p for p in _shuffled(k + 1, seed).tolist() if p < k)",
            "a valid pair order from another draw: only pinned bytes tell",
            ("tests/test_golden.py", "tests/test_allocation.py")),
+    Mutant("src/eprnet/harness.py", "kernel = lambda _, proven=received: proven",
+           "kernel = None",
+           "exact searches again in every run of a row it has already proven",
+           ("tests/test_harness.py",)),
+    Mutant("src/eprnet/harness.py",
+           '''    if instance is None:
+        return "skipped", [], []
+    if gated and instance.channel_count * instance.pair_count > config.exact_max_mk:
+        return "budget", [], []
+''',
+           '''    if gated and instance.channel_count * instance.pair_count > config.exact_max_mk:
+        return "budget", [], []
+    if instance is None:
+        return "skipped", [], []
+''',
+           "the exact gate reads the instance of an unroutable placement",
+           ("tests/test_harness.py",)),
 )
 
 
@@ -117,15 +136,19 @@ def verdict(root: Path, mutant: Mutant) -> str:
 
 
 def main() -> int:
+    """Print every mutant's verdict; exit 1 if any survivor is unexplained."""
     from bench_ab import WORKTREE, export  # beside this script
 
+    gaps = 0
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         root = Path(tmp) / "tree"
         print(f"exported {export(WORKTREE, root)}", flush=True)
         for i, mutant in enumerate(MUTANTS):
-            print(f"{i:2} {verdict(root, mutant):8} {mutant.file}: "
+            result = verdict(root, mutant)
+            gaps += result == "survived" and not mutant.reason.startswith("equivalent:")
+            print(f"{i:2} {result:8} {mutant.file}: "
                   f"{mutant.old!r} -> {mutant.new!r} ({mutant.reason})", flush=True)
-    return 0
+    return 1 if gaps else 0
 
 
 if __name__ == "__main__":
