@@ -37,6 +37,7 @@ from .spectrum import (
     channel_center_frequency,
     channel_center_wavelength,
     generation_rates,
+    rate_grid,
 )
 
 
@@ -46,18 +47,21 @@ from .spectrum import (
 _CONFIG_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
 _GRID_FLAGS = (
     ("--channels", "channels", int, "number of wavelength channels"),
-    ("--width-nm", "channel_width_nm", float, "channel width in nm"),
     ("--pitch-nm", "channel_pitch_nm", float, "channel spacing in nm"),
-    ("--center-nm", "center_wavelength_nm", float, "grid center wavelength in nm"),
     ("--fwhm-nm", "fwhm_nm", float, "emission FWHM in nm"),
     ("--peak-rate", "peak_rate", float, "peak generation rate"),
 )
 _FIBER_FLAG = ("--fiber-db-per-km", "fiber_loss_db_per_km", float, "fiber loss in dB/km")
+# Only `rates` labels its channels, with ChannelGrid's defaults.
+_LABEL_FLAGS = (
+    ("--width-nm", "channel_width_nm", float, "channel width in nm"),
+    ("--center-nm", "center_wavelength_nm", float, "grid center wavelength in nm"),
+)
 
 
-def _add_config_flags(parser: argparse.ArgumentParser, flags) -> None:
+def _add_config_flags(parser, flags, defaults=_CONFIG_DEFAULTS) -> None:
     for flag, field, kind, text in flags:
-        default = _CONFIG_DEFAULTS[field]
+        default = defaults[field]
         parser.add_argument(flag, dest=field, type=kind, default=default,
                             help=f"{text} (default {default:g})")
 
@@ -73,15 +77,10 @@ def _add_loss_args(parser: argparse.ArgumentParser) -> None:
     _add_config_flags(parser, [_FIBER_FLAG])
 
 
-def _grid_from_args(args: argparse.Namespace) -> tuple[ChannelGrid, SpectrumProfile]:
+def _cmd_rates(args: argparse.Namespace) -> int:
     grid = ChannelGrid(args.channels, args.channel_width_nm,
                        args.channel_pitch_nm, args.center_wavelength_nm)
-    return grid, SpectrumProfile(args.fwhm_nm, args.peak_rate)
-
-
-def _cmd_rates(args: argparse.Namespace) -> int:
-    grid, profile = _grid_from_args(args)
-    rates = generation_rates(grid, profile)
+    rates = generation_rates(grid, SpectrumProfile(args.fwhm_nm, args.peak_rate))
     print(f"{'ch':>4} {'lambda_nm':>10} {'freq_THz':>11} {'bw_GHz':>8} {'rate':>12}")
     for x in range(1, grid.channel_count + 1):
         print(f"{x:>4} {channel_center_wavelength(grid, x):>10.4f} "
@@ -135,8 +134,8 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
         bad = ", ".join("-".join(p) for p in table.infeasible)
         print(f"placement {args.source} cannot route: {bad}", file=sys.stderr)
         return 1
-    grid, profile = _grid_from_args(args)
-    rates = generation_rates(grid, profile)
+    rates = generation_rates(rate_grid(args.channels, args.channel_pitch_nm),
+                             SpectrumProfile(args.fwhm_nm, args.peak_rate))
     instance = AllocationInstance(
         tuple(plan.eta for plan in table.plans.values()), rates)
     allocation, completed = allocate_once(instance, args.strategy, seed=args.seed,
@@ -191,6 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rates = sub.add_parser("rates", help="print the channel rate table")
     _add_config_flags(p_rates, _GRID_FLAGS)
+    _add_config_flags(p_rates, _LABEL_FLAGS, vars(ChannelGrid))
     p_rates.set_defaults(func=_cmd_rates)
 
     p_route = sub.add_parser("route", help="compute disjoint route pairs")

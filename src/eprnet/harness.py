@@ -46,7 +46,7 @@ from .allocation import (
 from .metrics import jain_index, normalization_reference, normalized_min_rate
 from .netgraph import LossParams, build_routing_graph, load_topology
 from .routing import all_pair_routes
-from .spectrum import ChannelGrid, SpectrumProfile, generation_rates
+from .spectrum import ChannelGrid, SpectrumProfile, generation_rates, rate_grid
 
 
 class ConfigError(ValueError):
@@ -115,9 +115,7 @@ class ExperimentConfig:
     runs: int = 1000
     sources: tuple[str, ...] | None = None
     channels: int = ChannelGrid.channel_count
-    channel_width_nm: float = ChannelGrid.channel_width_nm
     channel_pitch_nm: float = ChannelGrid.channel_pitch_nm
-    center_wavelength_nm: float = ChannelGrid.center_wavelength_nm
     fwhm_nm: float = SpectrumProfile.fwhm_nm
     peak_rate: float = SpectrumProfile.peak_rate
     fiber_loss_db_per_km: float = LossParams.fiber_loss_db_per_km
@@ -130,6 +128,11 @@ class ExperimentConfig:
             object.__setattr__(self, name, _typed(name, hint, getattr(self, name)))
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
+        unknown = set(self.strategies) - set(ALL_STRATEGIES)
+        if unknown:
+            raise ConfigError(
+                f"unknown strategies: {', '.join(map(repr, sorted(unknown)))}; "
+                f"known: {', '.join(ALL_STRATEGIES)}")
         # One row per (loss, source, strategy): an empty list would sweep
         # nothing, and a repeated entry would repeat rows.
         for name in ("wss_losses", "strategies", "sources"):
@@ -140,17 +143,13 @@ class ExperimentConfig:
             for pos, value in enumerate(values or ()):
                 if value in values[:pos]:
                     raise ConfigError(f"{name} lists {value!r} more than once")
-        unknown = set(self.strategies) - set(ALL_STRATEGIES)
-        if unknown:
-            raise ConfigError(
-                f"unknown strategies: {', '.join(sorted(unknown))}; "
-                f"known: {', '.join(ALL_STRATEGIES)}"
-            )
         _seed_word(self.seed, "seed", ConfigError)
-        if self.channels < 1:
-            raise ConfigError(f"channels must be >= 1, got {self.channels}")
-        if min(self.wss_losses) < 0:
-            raise ConfigError(f"wss losses must be >= 0 dB, got {self.wss_losses}")
+        try:  # every spectrum and loss value, by its model class's rules
+            self.grid(), self.profile()
+            for wss in self.wss_losses:
+                LossParams(self.fiber_loss_db_per_km, wss)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.exact_max_mk < 0:
             raise ConfigError(f"exact_max_mk must be >= 0, got {self.exact_max_mk}")
         if self.exact_node_budget < 1:
@@ -158,8 +157,7 @@ class ExperimentConfig:
                 f"exact_node_budget must be >= 1, got {self.exact_node_budget}")
 
     def grid(self) -> ChannelGrid:
-        return ChannelGrid(self.channels, self.channel_width_nm,
-                           self.channel_pitch_nm, self.center_wavelength_nm)
+        return rate_grid(self.channels, self.channel_pitch_nm)
 
     def profile(self) -> SpectrumProfile:
         return SpectrumProfile(self.fwhm_nm, self.peak_rate)

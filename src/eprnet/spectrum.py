@@ -43,19 +43,24 @@ class ChannelGrid:
                 f"channel_count must be an int, got {self.channel_count!r}")
         if self.channel_count < 1:
             raise ValueError(f"channel_count must be >= 1, got {self.channel_count}")
+        _check_positive("channel_pitch_nm", self.channel_pitch_nm)
         _check_positive("channel_width_nm", self.channel_width_nm)
         if self.channel_pitch_nm < self.channel_width_nm:
             raise ValueError(
                 "channel_pitch_nm must be >= channel_width_nm, got "
                 f"{self.channel_pitch_nm} < {self.channel_width_nm}"
             )
-        _check_positive("channel_pitch_nm", self.channel_pitch_nm)
         _check_positive("center_wavelength_nm", self.center_wavelength_nm)
         bluest = channel_center_wavelength(self, 1)
         if bluest <= 0:
             raise ValueError(
                 f"every channel center must be > 0 nm, got {bluest} nm for channel 1"
             )
+
+
+def rate_grid(count: int, pitch_nm: float) -> ChannelGrid:
+    """A sweep's grid: the default center and width, the width cut to a tighter pitch."""
+    return ChannelGrid(count, min(ChannelGrid.channel_width_nm, pitch_nm), pitch_nm)
 
 
 @dataclass(frozen=True)
@@ -151,6 +156,9 @@ def channel_bandwidth(grid: ChannelGrid, x: int) -> float:
 
 def generation_rates(grid: ChannelGrid, profile: SpectrumProfile) -> RateVector:
     """Evaluate the Gaussian profile at every channel center.
+
+    The rates read only the channel count and pitch.  A sweep's grid,
+    ``rate_grid``, is centered at 1550 nm: one reaching 0 nm is refused.
 
     Returns:
         RateVector of length ``grid.channel_count``; entry x-1 is the

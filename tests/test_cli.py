@@ -27,6 +27,11 @@ NON_FINITE_FLAGS = [("--peak-rate", "inf"), ("--peak-rate", "nan"),
                     ("--center-nm", "inf"), ("--pitch-nm", "inf"),
                     ("--pitch-nm", "nan"), ("--fwhm-nm", "inf"),
                     ("--fwhm-nm", "1e-200"), ("--peak-rate", "1e308")]
+# `allocate` has no label flags (--width-nm, --center-nm); in their place,
+# loss flags that would give inf or nan transmittances.
+ALLOCATE_NON_FINITE_FLAGS = [
+    flag for flag in NON_FINITE_FLAGS if flag[0] not in ("--width-nm", "--center-nm")
+] + [("--wss-db", "nan"), ("--fiber-db-per-km", "inf"), ("--fiber-db-per-km", "nan")]
 
 
 def assert_one_line_error(code, err):
@@ -68,6 +73,21 @@ class TestRates:
         code, _, err = run(capsys, "rates", "--channels", "3",
                            "--pitch-nm", "775", "--center-nm", "775")
         assert_one_line_error(code, err)
+
+    def test_width_and_center_label_channels_only(self, capsys):
+        # `rates` alone takes the label flags: they move the wavelength,
+        # frequency and bandwidth columns, never the rates.
+        _, plain, _ = run(capsys, "rates", "--channels", "4")
+        code, labelled, _ = run(capsys, "rates", "--channels", "4",
+                                "--width-nm", "0.05", "--center-nm", "1310")
+        assert code == 0
+        rows = [line.split() for line in plain.splitlines()[1:-1]]
+        moved = [line.split() for line in labelled.splitlines()[1:-1]]
+        assert [r[4] for r in rows] == [r[4] for r in moved]
+        for a, b in zip(rows, moved):
+            assert all(x != y for x, y in zip(a[1:4], b[1:4]))
+        assert moved[0][1] == "1309.7000"
+        assert plain.splitlines()[-1] == labelled.splitlines()[-1]
 
 
 # The `eprnet route` commands whose stdout, concatenated, is
@@ -301,12 +321,22 @@ class TestAllocate:
         assert code == 0
         assert out.splitlines()[-1] == "status: ok"
 
-    @pytest.mark.parametrize("flag", NON_FINITE_FLAGS)
+    @pytest.mark.parametrize("flag", ALLOCATE_NON_FINITE_FLAGS)
     def test_non_finite_flag_is_one_line_error(self, capsys, flag):
         code, out, err = run(capsys, "allocate", "--topology", "simple6",
                              "--source", "A", "--strategy", "lpt", *flag)
         assert_one_line_error(code, err)
         assert out == ""
+
+    def test_pitch_tighter_than_the_default_width_runs(self, capsys):
+        # The width narrows to the pitch; the rates follow the pitch alone.
+        argv = ["allocate", "--topology", "simple6", "--source", "A",
+                "--strategy", "lpt", "--channels", "32"]
+        _, default, _ = run(capsys, *argv)
+        code, tight, err = run(capsys, *argv, "--pitch-nm", "0.05")
+        assert code == 0 and err == ""
+        assert tight != default
+        assert tight.splitlines()[-1] == "status: ok"
 
     def test_unknown_strategy_is_usage_error(self, capsys):
         with pytest.raises(SystemExit):
@@ -535,6 +565,32 @@ class TestSweep:
         assert_one_line_error(code, err)
         assert "no directory" in err
 
+    def test_pitch_tighter_than_the_default_width_runs(self, capsys, tmp_path):
+        # The channel width narrows to the pitch, which alone shapes the rates.
+        outs = {}
+        for pitch in ("0.2", "0.05"):
+            outs[pitch] = tmp_path / f"{pitch}.csv"
+            code, _, err = run(capsys, "sweep", "--topology", "simple6",
+                               "--seed", "1", "--runs", "2", "--channels", "40",
+                               "--strategies", "lpt", "--sources", "A",
+                               "--pitch-nm", pitch, "--out", str(outs[pitch]))
+            assert code == 0 and err == ""
+        tight, default = (read_csv_rows(outs[p]) for p in ("0.05", "0.2"))
+        assert [r["status"] for r in tight] == ["ok", "ok"]
+        assert ([r["mean_min_rate"] for r in tight]
+                != [r["mean_min_rate"] for r in default])
+
+    @pytest.mark.parametrize("names", [",", "lpt,", ",warp"])
+    def test_unknown_strategies_named_before_repeats(self, capsys, tmp_path,
+                                                     names):
+        # An empty name is unknown, and quoted, even when it repeats.
+        code, out, err = run(capsys, "sweep", "--topology", "simple6",
+                             "--seed", "1", "--strategies", names,
+                             "--out", str(tmp_path / "x.csv"))
+        assert_one_line_error(code, err)
+        assert err.startswith("error: unknown strategies: ''")
+        assert "more than once" not in err and out == ""
+
     def test_bad_strategy_flag(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "--topology", "simple6",
                            "--seed", "1", "--strategies", "warp",
@@ -547,6 +603,16 @@ class TestUsage:
     def test_no_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main([])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--width-nm", "--center-nm"])
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--topology", "simple6", "--seed", "1"],
+        ["allocate", "--topology", "simple6", "--source", "A", "--strategy", "lpt"],
+    ])
+    def test_only_rates_takes_label_flags(self, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*command, flag, "0.1"])
         assert exc.value.code == 2
 
     def test_defaults_match_the_model_classes(self):

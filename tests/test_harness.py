@@ -121,8 +121,8 @@ class TestSeeding:
 FIELD_TYPES = {
     "topology_path": str, "seed": int, "wss_losses": [float],
     "strategies": [str], "runs": int, "sources": {(str,)},
-    "channels": int, "channel_width_nm": float, "channel_pitch_nm": float,
-    "center_wavelength_nm": float, "fwhm_nm": float, "peak_rate": float,
+    "channels": int, "channel_pitch_nm": float,
+    "fwhm_nm": float, "peak_rate": float,
     "fiber_loss_db_per_km": float,
     "exact_max_mk": int, "exact_node_budget": int, "output_path": {str},
 }
@@ -171,6 +171,18 @@ class TestConfig:
         dict(wss_losses=(4.0, math.inf)),
         dict(exact_node_budget=0),
         dict(exact_max_mk=-5),
+        # Each spectrum and loss value, by ChannelGrid's, SpectrumProfile's
+        # and LossParams' rules, when the config is made.
+        dict(channel_pitch_nm=0.0),
+        dict(channel_pitch_nm=-0.5),
+        dict(fwhm_nm=0.0),
+        dict(fwhm_nm=-1.0),
+        dict(peak_rate=-2.0),
+        dict(fiber_loss_db_per_km=-3.0),
+        dict(fwhm_nm=-1.0, peak_rate=-2.0, channel_pitch_nm=-0.5,
+             fiber_loss_db_per_km=-3.0),
+        # Channel 1 would sit at 1550 - 20 * 155 / 2 = 0 nm.
+        dict(channels=156, channel_pitch_nm=20.0),
     ])
     def test_invalid_values_rejected(self, bad):
         base = dict(topology_path="simple6", seed=1)
@@ -197,6 +209,8 @@ class TestConfig:
         '"seed": 1, "exclude_u_turns": "no"',
         '"seed": 1, "exclude_u_turns": 0',
         '"seed": 1, "exclude_u_turns": false',
+        '"seed": 1, "channel_width_nm": 0.1',
+        '"seed": 1, "center_wavelength_nm": 1550.0',
         '"seed": 1, "topology_path": 7',
         '"seed": 1, "output_path": 7',
         '"seed": 1, "peak_rate": true',

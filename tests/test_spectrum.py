@@ -13,6 +13,7 @@ from eprnet import (
     channel_center_wavelength,
     generation_rates,
 )
+from eprnet.spectrum import rate_grid
 
 C = 299792.458  # nm * THz, independent copy for oracle arithmetic
 
@@ -154,6 +155,20 @@ class TestGenerationRates:
         for x in range(1, m):
             if x + 1 <= half:  # both channels on the rising flank
                 assert rates[x] >= rates[x - 1]
+
+
+class TestRateGrid:
+    def test_width_narrows_to_a_tighter_pitch(self):
+        # A sweep's grid: 1550 nm center, 0.1 nm channels, or the pitch.
+        assert rate_grid(200, 0.2) == ChannelGrid()
+        assert rate_grid(40, 0.3) == ChannelGrid(40, 0.1, 0.3, 1550.0)
+        assert rate_grid(40, 0.05) == ChannelGrid(40, 0.05, 0.05, 1550.0)
+
+    @pytest.mark.parametrize("pitch", [0.0, -0.5, math.nan, math.inf])
+    def test_bad_pitch_is_named(self, pitch):
+        # The pitch is checked before the width it sets.
+        with pytest.raises(ValueError, match="^channel_pitch_nm must be finite"):
+            rate_grid(40, pitch)
 
 
 class TestValidation:
