@@ -485,9 +485,12 @@ def random_balanced(instance: AllocationInstance, rng_seed: int) -> Allocation:
 
 def _random_row(instance: AllocationInstance) -> Callable[[int], list[float]]:
     """``random_balanced``'s received rates by trusted seed."""
-    n, k, m = instance.rates.rates, instance.pair_count, instance.channel_count
+    import numpy as np
+
+    n = np.array(instance.rates.rates)
+    k, m = instance.pair_count, instance.channel_count
     return lambda seed: _placed(instance.etas, range(k), _slot_sums(
-        [n[x] for x in _shuffled(m, seed).tolist()], k))
+        n[_shuffled(m, seed)].tolist(), k))
 
 
 def _dealt(instance: AllocationInstance, channels: Sequence[int],

@@ -53,9 +53,10 @@ class ConfigError(ValueError):
     """Raised for invalid experiment configurations."""
 
 
-# name -> (run, row, order_sensitive, gated), in sweep order: it fixes the
-# row order and each strategy's index in the run seeds.  run(instance, seed,
-# node_budget) returns an Allocation, or the exact search's ExactResult; it
+# name -> (run, row, order_sensitive, gated), in the default sweep order.
+# A row's seeds come from its positions in the config's wss_losses, sources
+# and strategies lists, not from this table.  run(instance, seed, node_budget)
+# returns an Allocation, or the exact search's ExactResult; it
 # looks its allocation function up here when called, so patching this
 # module's attribute reaches allocate_once and the sweep runs of a strategy
 # without a row.  A sweep calls row(instance) once per row for kernel(seed),
@@ -104,6 +105,10 @@ def derive_seed(master: int, *indices: int) -> int:
     return seed
 
 
+# Spectrum and loss fields whose config key has another name.
+_CONFIG_KEYS = {"channel_count": "channels", "wss_loss_db": "wss_losses"}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one sweep; JSON files mirror the field names."""
@@ -148,8 +153,9 @@ class ExperimentConfig:
             self.grid(), self.profile()
             for wss in self.wss_losses:
                 LossParams(self.fiber_loss_db_per_km, wss)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        except ValueError as exc:  # named by the config key, as the user wrote it
+            field, _, rest = str(exc).partition(" ")
+            raise ConfigError(f"{_CONFIG_KEYS.get(field, field)} {rest}") from None
         if self.exact_max_mk < 0:
             raise ConfigError(f"exact_max_mk must be >= 0, got {self.exact_max_mk}")
         if self.exact_node_budget < 1:

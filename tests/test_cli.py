@@ -11,8 +11,7 @@ from eprnet.harness import ExperimentConfig, read_csv_rows
 from eprnet.netgraph import LossParams
 from eprnet.spectrum import ChannelGrid, SpectrumProfile
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
-RING4 = GOLDEN / "ring4.json"
+RING4 = Path(__file__).resolve().parent / "golden" / "ring4.json"
 
 
 def run(capsys, *argv):
@@ -90,31 +89,7 @@ class TestRates:
         assert plain.splitlines()[-1] == labelled.splitlines()[-1]
 
 
-# The `eprnet route` commands whose stdout, concatenated, is
-# tests/golden/route.txt; CI's installed-package step runs the same list.
-ROUTE_GOLDEN = [
-    "--topology ilec17 --source A --wss-db 8",
-    "--topology ilec17 --source A --wss-db 0 --fiber-db-per-km 0",
-    "--topology simple6 --source A --wss-db 8",
-    "--topology simple6 --source A --pair B E",
-    "--topology ilec17 --source A --wss-db 8 --pair M P",
-    "--topology ilec17 --source A --wss-db 8 --pair P Q",
-    "--topology ilec17 --source A --wss-db 0 --fiber-db-per-km 0 --pair M P",
-    "--topology ilec17 --source A --wss-db 0 --fiber-db-per-km 0 --pair P Q",
-]
-
-
 class TestRoute:
-    def test_output_matches_golden(self, capsys):
-        # Loss tables, the tie-heavy lossless case included, and per-route
-        # hops and losses.
-        out = ""
-        for command in ROUTE_GOLDEN:
-            code, text, _ = run(capsys, "route", *command.split())
-            assert code == 0
-            out += text
-        assert out.encode() == (GOLDEN / "route.txt").read_bytes()
-
     def test_pair_table(self, capsys):
         code, out, _ = run(capsys, "route", "--topology", "simple6",
                            "--source", "A", "--wss-db", "8")
@@ -343,19 +318,6 @@ class TestAllocate:
             main(["allocate", "--topology", "simple6", "--source", "A",
                   "--strategy", "greedy"])
 
-    def test_tables_match_golden(self, capsys):
-        # The paper's seven strategies, channel-count column included.
-        out = ""
-        for strategy in ("exact", "first-fit", "round-robin", "random", "lpt",
-                         "bd-matching", "lp-round"):
-            code, text, _ = run(capsys, "allocate", "--topology", "simple6",
-                                "--source", "A", "--strategy", strategy,
-                                "--seed", "3", "--channels", "32",
-                                "--node-budget", "5000")
-            assert code == 0
-            out += text
-        assert out.encode() == (GOLDEN / "allocate-simple6-A.txt").read_bytes()
-
 
 @pytest.fixture
 def no_sweep(monkeypatch):
@@ -491,6 +453,17 @@ class TestSweep:
         assert_one_line_error(code, err)
         assert "underflows transmittance to 0" in err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("flag, message", [
+        (("--channels", "0"), "channels must be >= 1, got 0"),
+        (("--wss-db", "-1"), "wss_losses must be finite and >= 0, got -1.0"),
+    ])
+    def test_refusal_names_the_config_key(self, capsys, tmp_path, flag, message):
+        # Not the model classes' channel_count and wss_loss_db.
+        code, out, err = run(capsys, "sweep", "--topology", "simple6",
+                             "--seed", "1", *flag, "--out", str(tmp_path / "x.csv"))
+        assert err == f"error: {message}\n"
+        assert code == 1 and out == ""
 
     def test_config_array_is_one_line_error(self, capsys, tmp_path):
         path = tmp_path / "config.json"

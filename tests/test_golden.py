@@ -1,55 +1,95 @@
-"""Byte-for-byte sweep outputs pinned against stored golden CSVs.
+"""Byte-for-byte outputs pinned against the files under ``tests/golden/``.
 
-Each case is a fixed sweep config; its CSV must match the file under
-``tests/golden/`` exactly.  Refactors of routing, allocation or the
+``GOLDEN_COMMANDS`` maps each golden file to the ``eprnet`` commands that
+produce it: a sweep's golden is its ``--out`` file, any other golden is its
+commands' stdout, concatenated.  Refactors of routing, allocation or the
 harness must keep these bytes.  An intended change of output regenerates
-them with ``PYTHONPATH=src python tests/test_golden.py`` and says why in
-CHANGES.md.
+every golden, or those named, with::
+
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
+
+and says why in CHANGES.md.  The tests run the commands in process
+through ``eprnet.cli.main``, so they check whichever ``eprnet`` is
+importable, an installed one included.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
+import io
 import sys
 from pathlib import Path
 
 import pytest
 
 import eprnet
-from eprnet import ExperimentConfig, emit_csv, run_placement_sweep
+from eprnet.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # The paper's seven strategies, named here so that a strategy added to
 # the library does not change these bytes.
-PAPER_STRATEGIES = ("exact", "first-fit", "round-robin", "random", "lpt",
-                    "bd-matching", "lp-round")
+PAPER_STRATEGIES = ["--strategies",
+                    "exact,first-fit,round-robin,random,lpt,bd-matching,lp-round"]
+ROUTE = "route --topology ilec17 --source A".split()
+LOSSLESS = ["--wss-db", "0", "--fiber-db-per-km", "0"]
 
-CASES = {
+GOLDEN_COMMANDS = {
     # Paper scale: every ilec17 placement at 8 dB; exact is gated off.
-    "ilec17-8db-runs5": dict(topology_path="ilec17", seed=20260816,
-                             wss_losses=(8.0,), runs=5,
-                             strategies=PAPER_STRATEGIES),
-    "simple6-runs20": dict(topology_path="simple6", seed=424242,
-                           wss_losses=(4.0, 8.0), runs=20,
-                           strategies=PAPER_STRATEGIES),
+    "ilec17-8db-runs5.csv": [
+        "sweep --topology ilec17 --seed 20260816 --wss-db 8 --runs 5".split()
+        + PAPER_STRATEGIES],
+    "simple6-runs20.csv": [
+        "sweep --topology simple6 --seed 424242 --wss-db 4 --wss-db 8 --runs 20"
+        .split() + PAPER_STRATEGIES],
     # The acceptance criterion 9 sweep: small enough for exact to run.
-    "ring4-criterion9": dict(topology_path=str(GOLDEN / "ring4.json"),
-                             seed=97531, wss_losses=(4.0, 8.0), runs=3,
-                             channels=10, strategies=PAPER_STRATEGIES),
+    "ring4-criterion9.csv": [
+        ["sweep", "--topology", str(GOLDEN / "ring4.json")]
+        + "--seed 97531 --wss-db 4 --wss-db 8 --runs 3 --channels 10".split()
+        + PAPER_STRATEGIES],
+    # Loss tables, the tie-heavy lossless case included, and per-route
+    # hops and losses.
+    "route.txt": [
+        ROUTE + ["--wss-db", "8"],
+        ROUTE + LOSSLESS,
+        "route --topology simple6 --source A --wss-db 8".split(),
+        "route --topology simple6 --source A --pair B E".split(),
+        ROUTE + "--wss-db 8 --pair M P".split(),
+        ROUTE + "--wss-db 8 --pair P Q".split(),
+        ROUTE + LOSSLESS + ["--pair", "M", "P"],
+        ROUTE + LOSSLESS + ["--pair", "P", "Q"],
+    ],
+    # The paper's seven strategies, channel-count column included.
+    "allocate-simple6-A.txt": [
+        "allocate --topology simple6 --source A --seed 3 --channels 32".split()
+        + ["--node-budget", "5000", "--strategy", strategy]
+        for strategy in PAPER_STRATEGIES[1].split(",")],
+    # The default grid, and labels moved by the width and center flags.
+    "rates.txt": [
+        "rates --channels 8".split(),
+        "rates --channels 4 --width-nm 0.05 --center-nm 1310".split(),
+    ],
 }
 
 
-def _write(case: str, path: Path) -> None:
-    config = ExperimentConfig(**CASES[case])
-    emit_csv(run_placement_sweep(config), path)
+def produce(name: str, workdir: Path) -> bytes:
+    """The bytes ``name``'s commands produce, run in ``workdir``."""
+    out = io.StringIO()
+    sweep = name.endswith(".csv")
+    for argv in GOLDEN_COMMANDS[name]:
+        if sweep:
+            argv = [*argv, "--out", str(workdir / name)]
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        if code != 0:
+            raise RuntimeError(f"eprnet {' '.join(argv)} exited {code}")
+    return (workdir / name).read_bytes() if sweep else out.getvalue().encode()
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_sweep_csv_matches_golden(case, tmp_path):
-    out = tmp_path / f"{case}.csv"
-    _write(case, out)
-    assert out.read_bytes() == (GOLDEN / f"{case}.csv").read_bytes()
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_output_matches_golden(name, tmp_path):
+    assert produce(name, tmp_path) == (GOLDEN / name).read_bytes()
 
 
 # (module, top-level function, call) of each builtin sum() over ints.
@@ -72,6 +112,6 @@ def test_no_builtin_sum_of_floats():
 
 
 if __name__ == "__main__":
-    for name in sys.argv[1:] or sorted(CASES):
-        _write(name, GOLDEN / f"{name}.csv")
-        print(f"wrote {GOLDEN / name}.csv")
+    for name in sys.argv[1:] or sorted(GOLDEN_COMMANDS):
+        (GOLDEN / name).write_bytes(produce(name, GOLDEN))
+        print(f"wrote {GOLDEN / name}")
