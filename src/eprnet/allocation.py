@@ -717,3 +717,10 @@ def lp_round(instance: AllocationInstance) -> Allocation:
         assign[x] = winner
         floor_rate[winner] += instance.etas[winner] * n[x]
     return _finish(instance, assign)
+
+
+__all__ = [
+    "Allocation", "AllocationError", "AllocationInstance", "ExactResult",
+    "bezakova_matching", "exact_maxmin", "first_fit", "fractional_optimum",
+    "lp_round", "modified_lpt", "random_balanced", "round_robin",
+]

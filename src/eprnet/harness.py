@@ -242,6 +242,12 @@ class ExperimentReport:
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
+    scale = max(map(abs, values))
+    if 0.0 < scale < 1e-150 or scale > 1e150:
+        # As in jain_index: the sum or the squares would overflow, or the
+        # squares go subnormal, so work on the values scaled to 1.
+        mean, std = _mean_std([v / scale for v in values])
+        return mean * scale, std * scale
     mean = math.fsum(values) / len(values)
     if len(values) < 2:
         return mean, 0.0

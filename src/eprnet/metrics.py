@@ -107,3 +107,6 @@ def normalized_min_rate(min_rate: float, reference: float) -> float:
     if not math.isfinite(min_rate):
         raise MetricsError(f"min_rate must be finite, got {min_rate}")
     return min_rate / reference
+
+
+__all__ = ["MetricsError", "jain_index", "normalization_reference", "normalized_min_rate"]

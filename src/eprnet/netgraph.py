@@ -321,3 +321,11 @@ def build_routing_graph(topology: PhysicalTopology, source: str,
         edges.append(GraphEdge(switch, mems[i], wss, 0.0, "drop"))
 
     return RoutingGraph(source, tuple(vertices), tuple(edges))
+
+
+__all__ = [
+    "GraphEdge", "Link", "LossParams", "Node", "PhysicalTopology",
+    "RoutingGraph", "TopologyError", "build_routing_graph", "bundled_topology",
+    "gen_vertex", "link_distance", "load_topology", "mem_vertex",
+    "topology_from_dict", "transmittance",
+]

@@ -264,3 +264,6 @@ def route_nodes(graph: RoutingGraph, path: Sequence[int]) -> list[str]:
         if edge.kind == "fiber":
             nodes.append(edge.head[1])
     return nodes
+
+
+__all__ = ["RoutePlan", "RouteTable", "RoutingError", "all_pair_routes", "route_nodes"]

@@ -72,10 +72,17 @@ class SpectrumProfile:
 
     def __post_init__(self) -> None:
         _check_positive("fwhm_nm", self.fwhm_nm)
-        if self.fwhm_nm * self.fwhm_nm == 0.0:
-            raise ValueError(f"fwhm_nm is too small to square, got {self.fwhm_nm}")
+        if self.coeff == math.inf:
+            raise ValueError(
+                f"fwhm_nm is too small: 4 ln 2 / fwhm_nm^2 overflows, got {self.fwhm_nm}")
         if not (0 <= self.peak_rate < math.inf):  # also rejects NaN
             raise ValueError(f"peak_rate must be finite and >= 0, got {self.peak_rate}")
+
+    @property
+    def coeff(self) -> float:
+        """4 ln 2 / fwhm^2, the exponent per nm^2 of detuning; inf if it overflows."""
+        square = self.fwhm_nm * self.fwhm_nm
+        return 4.0 * math.log(2.0) / square if square else math.inf
 
 
 @dataclass(frozen=True)
@@ -165,7 +172,7 @@ def generation_rates(grid: ChannelGrid, profile: SpectrumProfile) -> RateVector:
         pair-generation rate of channel x, ``peak_rate`` at zero detuning
         and half that at one half-width (fwhm/2) detuning.
     """
-    coeff = 4.0 * math.log(2.0) / (profile.fwhm_nm * profile.fwhm_nm)
+    coeff = profile.coeff
     half = (grid.channel_count + 1) / 2
     rates = []
     for x in range(1, grid.channel_count + 1):
@@ -174,3 +181,10 @@ def generation_rates(grid: ChannelGrid, profile: SpectrumProfile) -> RateVector:
         detuning = (x - half) * grid.channel_pitch_nm
         rates.append(profile.peak_rate * math.exp(-coeff * detuning * detuning))
     return RateVector(tuple(rates))
+
+
+__all__ = [
+    "SPEED_OF_LIGHT_NM_THZ", "ChannelGrid", "RateVector", "SpectrumProfile",
+    "channel_bandwidth", "channel_center_frequency",
+    "channel_center_wavelength", "generation_rates",
+]

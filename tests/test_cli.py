@@ -25,7 +25,8 @@ NON_FINITE_FLAGS = [("--peak-rate", "inf"), ("--peak-rate", "nan"),
                     ("--width-nm", "nan"), ("--center-nm", "nan"),
                     ("--center-nm", "inf"), ("--pitch-nm", "inf"),
                     ("--pitch-nm", "nan"), ("--fwhm-nm", "inf"),
-                    ("--fwhm-nm", "1e-200"), ("--peak-rate", "1e308")]
+                    ("--fwhm-nm", "1e-200"), ("--fwhm-nm", "1e-160"),
+                    ("--peak-rate", "1e308")]
 # `allocate` has no label flags (--width-nm, --center-nm); in their place,
 # loss flags that would give inf or nan transmittances.
 ALLOCATE_NON_FINITE_FLAGS = [
@@ -50,12 +51,6 @@ def chain3(tmp_path):
 
 
 class TestRates:
-    def test_prints_every_channel(self, capsys):
-        code, out, err = run(capsys, "rates", "--channels", "8")
-        assert code == 0
-        lines = [l for l in out.splitlines() if l and not l.startswith(" ")]
-        assert len([l for l in out.splitlines() if l.strip()]) >= 9
-
     def test_anchor_values_present(self, capsys):
         code, out, _ = run(capsys, "rates")
         assert code == 0
@@ -367,6 +362,36 @@ class TestSweep:
         assert len(rows) == 2 * 6 * 7
         assert all(r["status"] == "ok" and float(r["mean_min_rate"]) == 0.0
                    for r in rows)
+
+    @pytest.mark.parametrize("peak, two_node", [(1e300, False), (1e-160, False),
+                                                 (1e306, True)])
+    def test_statistics_scale_with_any_finite_peak_rate(self, capsys, tmp_path,
+                                                        peak, two_node):
+        # Min rates near either end of the float range: unscaled, their sum
+        # or squares would overflow, or the squares would go subnormal.
+        if two_node:  # one lossless pair: each run's min rate is the whole spectrum
+            doc = {"name": "two", "nodes": [{"id": "a"}, {"id": "b"}],
+                   "links": [{"a": "a", "b": "b", "distance_km": 1.0}]}
+            (tmp_path / "two.json").write_text(json.dumps(doc))
+            flags = ("--topology", str(tmp_path / "two.json"), "--wss-db", "0",
+                     "--fiber-db-per-km", "0", "--runs", "1000",
+                     "--strategies", "first-fit")
+        else:
+            flags = ("--topology", "simple6", "--sources", "A", "--wss-db", "4",
+                     "--runs", "3", "--strategies", "random,first-fit")
+        rows = {}
+        for p in (1.0, peak):
+            out_csv = tmp_path / f"{p}.csv"
+            code, _, err = run(capsys, "sweep", "--seed", "1", "--peak-rate",
+                               repr(p), *flags, "--out", str(out_csv))
+            assert code == 0, err
+            rows[p] = read_csv_rows(out_csv)
+        assert rows[peak]
+        for base, scaled in zip(rows[1.0], rows[peak], strict=True):
+            for col in ("mean_min_rate", "std_min_rate"):
+                assert scaled[col] == format(float(base[col]) * peak, ".9g")
+            for col in ("mean_min_rate_normalized", "mean_jain", "std_jain"):
+                assert scaled[col] == base[col]
 
     def test_config_driven_sweep(self, capsys, tmp_path):
         config = {

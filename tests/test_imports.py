@@ -66,7 +66,7 @@ def test_numpy_loaded_by_an_allocation(tmp_path):
 
 def test_public_api_is_pinned():
     # Adding or removing a public name is a deliberate edit of this list.
-    # ``__all__`` is written out, so the submodules are not exported.
+    # ``__all__`` joins the modules' lists, so the submodules are not exported.
     assert sorted(eprnet.__all__) == [
         "ALL_STRATEGIES", "Allocation", "AllocationError", "AllocationInstance",
         "ChannelGrid", "ConfigError", "ExactResult", "ExperimentConfig",
@@ -87,6 +87,26 @@ def test_public_api_is_pinned():
         "run_placement_sweep", "splitmix64", "topology_from_dict",
         "transmittance",
     ]
+
+
+def test_each_public_name_is_declared_once_in_its_own_module():
+    # The package exports the union of its modules' __all__ lists; each
+    # list names only what its module defines, and no name is in two.
+    declared = []
+    for name in ("allocation", "harness", "metrics", "netgraph", "routing",
+                 "spectrum"):
+        module = getattr(eprnet, name)
+        defined = set()
+        for node in ast.parse(Path(module.__file__).read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        assert set(module.__all__) <= defined, name
+        declared += module.__all__
+    assert len(declared) == len(set(declared))
+    assert sorted(declared) == sorted(eprnet.__all__)
 
 
 def test_numpy_and_its_generator_live_in_allocation_only():

@@ -217,6 +217,9 @@ class TestValidation:
     def test_profile_rejects_fwhm_whose_square_underflows(self):
         with pytest.raises(ValueError, match="fwhm_nm"):
             SpectrumProfile(fwhm_nm=1e-200)
+        # The square is subnormal but not 0: 4 ln 2 over it overflows.
+        with pytest.raises(ValueError, match="fwhm_nm"):
+            SpectrumProfile(fwhm_nm=1e-160)
         SpectrumProfile(fwhm_nm=1e-150)
 
     def test_rate_vector_validation(self):
