@@ -37,7 +37,6 @@ from .spectrum import (
     channel_center_frequency,
     channel_center_wavelength,
     generation_rates,
-    rate_grid,
 )
 
 
@@ -54,7 +53,8 @@ _GRID_FLAGS = (
 _FIBER_FLAG = ("--fiber-db-per-km", "fiber_loss_db_per_km", float, "fiber loss in dB/km")
 # Only `rates` labels its channels, with ChannelGrid's defaults.
 _LABEL_FLAGS = (
-    ("--width-nm", "channel_width_nm", float, "channel width in nm"),
+    ("--width-nm", "channel_width_nm", float,
+     "channel width in nm (default 0.1, or the pitch when tighter)"),
     ("--center-nm", "center_wavelength_nm", float, "grid center wavelength in nm"),
 )
 
@@ -62,8 +62,9 @@ _LABEL_FLAGS = (
 def _add_config_flags(parser, flags, defaults=_CONFIG_DEFAULTS) -> None:
     for flag, field, kind, text in flags:
         default = defaults[field]
-        parser.add_argument(flag, dest=field, type=kind, default=default,
-                            help=f"{text} (default {default:g})")
+        if default is not None:
+            text = f"{text} (default {default:g})"
+        parser.add_argument(flag, dest=field, type=kind, default=default, help=text)
 
 
 def _add_loss_args(parser: argparse.ArgumentParser) -> None:
@@ -134,8 +135,8 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
         bad = ", ".join("-".join(p) for p in table.infeasible)
         print(f"placement {args.source} cannot route: {bad}", file=sys.stderr)
         return 1
-    rates = generation_rates(rate_grid(args.channels, args.channel_pitch_nm),
-                             SpectrumProfile(args.fwhm_nm, args.peak_rate))
+    grid = ChannelGrid(args.channels, channel_pitch_nm=args.channel_pitch_nm)
+    rates = generation_rates(grid, SpectrumProfile(args.fwhm_nm, args.peak_rate))
     instance = AllocationInstance(
         tuple(plan.eta for plan in table.plans.values()), rates)
     allocation, completed = allocate_once(instance, args.strategy, seed=args.seed,

@@ -23,6 +23,7 @@ import math
 import sys
 import typing
 from dataclasses import dataclass, fields
+from itertools import dropwhile
 from pathlib import Path
 
 from .allocation import (
@@ -46,7 +47,7 @@ from .allocation import (
 from .metrics import jain_index, normalization_reference, normalized_min_rate
 from .netgraph import LossParams, build_routing_graph, load_topology
 from .routing import all_pair_routes
-from .spectrum import ChannelGrid, SpectrumProfile, generation_rates, rate_grid
+from .spectrum import ChannelGrid, SpectrumProfile, generation_rates
 
 
 class ConfigError(ValueError):
@@ -163,7 +164,7 @@ class ExperimentConfig:
                 f"exact_node_budget must be >= 1, got {self.exact_node_budget}")
 
     def grid(self) -> ChannelGrid:
-        return rate_grid(self.channels, self.channel_pitch_nm)
+        return ChannelGrid(self.channels, channel_pitch_nm=self.channel_pitch_nm)
 
     def profile(self) -> SpectrumProfile:
         return SpectrumProfile(self.fwhm_nm, self.peak_rate)
@@ -398,11 +399,10 @@ def emit_csv(report: ExperimentReport, path: str | Path) -> None:
 
 
 def read_csv_rows(path: str | Path) -> list[dict[str, str]]:
-    """Parse a sweep CSV back into dicts (comment lines skipped)."""
+    """Parse a sweep CSV back into dicts, skipping the comment lines above
+    its header; a data row starting with ``#`` is kept."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.DictReader(lines)
-    return list(reader)
+        return list(csv.DictReader(dropwhile(lambda ln: ln.startswith("#"), fh)))
 
 
 _PALETTE = (

@@ -103,7 +103,9 @@ class PhysicalTopology:
         by_id = {n.id: n for n in self.nodes}
         if len(by_id) != len(self.nodes):
             raise TopologyError(f"duplicate node ids in topology {self.name!r}")
-        by_pair: dict[frozenset[str], Link] = {}
+        # Each link's length in km under both of its directions, resolved
+        # once: a stored distance wins over the endpoints' coordinates.
+        km: dict[tuple[str, str], float] = {}
         adjacent: dict[str, set[str]] = {node_id: set() for node_id in by_id}
         for link in self.links:
             if link.a not in by_id or link.b not in by_id:
@@ -112,16 +114,21 @@ class PhysicalTopology:
                 )
             if link.a == link.b:
                 raise TopologyError(f"self-link at node {link.a}")
-            key = frozenset((link.a, link.b))
-            if key in by_pair:
+            if (link.a, link.b) in km:
                 raise TopologyError(f"duplicate link {link.a}-{link.b}")
-            by_pair[key] = link
             adjacent[link.a].add(link.b)
             adjacent[link.b].add(link.a)
-            if link.distance_km is not None and not link.distance_km > 0:
+            length = link.distance_km
+            if length is None:
+                na, nb = by_id[link.a], by_id[link.b]
+                if None in (na.x_km, na.y_km, nb.x_km, nb.y_km):
+                    raise TopologyError(f"link {link.a}-{link.b} has no distance "
+                                        "and endpoint coordinates are incomplete")
+                length = math.hypot(na.x_km - nb.x_km, na.y_km - nb.y_km)
+            elif not length > 0:
                 raise TopologyError(
-                    f"link {link.a}-{link.b} distance must be > 0, got {link.distance_km}"
-                )
+                    f"link {link.a}-{link.b} distance must be > 0, got {length}")
+            km[link.a, link.b] = km[link.b, link.a] = length
         if len(self.nodes) > 1:
             isolated = sorted(node_id for node_id, nbrs in adjacent.items() if not nbrs)
             if isolated:
@@ -129,7 +136,7 @@ class PhysicalTopology:
         # Lookup maps, built once.  They are not dataclass fields, so
         # equality, hashing and repr still see only name, nodes and links.
         object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_by_pair", by_pair)
+        object.__setattr__(self, "_km", km)
         object.__setattr__(self, "_neighbors", {
             node_id: tuple(sorted(nbrs)) for node_id, nbrs in adjacent.items()})
 
@@ -206,41 +213,24 @@ def topology_from_dict(doc: dict[str, Any]) -> PhysicalTopology:
 
 
 def load_topology(path: str | Path) -> PhysicalTopology:
-    """Load a topology JSON file; bare bundled names are resolved too."""
+    """Load a topology JSON file, or a bundled one (simple6, ilec17) by its
+    bare name when no file of that name exists."""
     name = str(path)
     if name in _BUNDLED and not Path(name).exists():
-        return bundled_topology(name)
-    with open(path, "r", encoding="utf-8") as fh:
-        return topology_from_dict(json.load(fh))
-
-
-def bundled_topology(name: str) -> PhysicalTopology:
-    """Load one of the topologies shipped with the package."""
-    if name not in _BUNDLED:
-        raise TopologyError(
-            f"unknown bundled topology {name!r}; available: {', '.join(_BUNDLED)}"
-        )
-    text = resources.files("eprnet.data").joinpath(f"{name}.json").read_text("utf-8")
+        text = resources.files("eprnet.data").joinpath(f"{name}.json").read_text("utf-8")
+    else:
+        text = Path(path).read_text(encoding="utf-8")
     return topology_from_dict(json.loads(text))
 
 
 def link_distance(topology: PhysicalTopology, a: str, b: str) -> float:
-    """Length in km of the link between a and b.
-
-    An explicitly stored distance wins; otherwise the Euclidean distance
-    between node coordinates is used.
-    """
-    link = topology._by_pair.get(frozenset((a, b)))
-    if link is None:
-        raise TopologyError(f"no link between {a!r} and {b!r}")
-    if link.distance_km is not None:
-        return link.distance_km
-    na, nb = topology.node(a), topology.node(b)
-    if None in (na.x_km, na.y_km, nb.x_km, nb.y_km):
-        raise TopologyError(
-            f"link {a}-{b} has no distance and endpoint coordinates are incomplete"
-        )
-    return math.hypot(na.x_km - nb.x_km, na.y_km - nb.y_km)
+    """Length in km of the link between a and b, as the topology resolved
+    it: the stored distance, else the Euclidean distance between the
+    endpoints' coordinates."""
+    try:
+        return topology._km[a, b]
+    except KeyError:
+        raise TopologyError(f"no link between {a!r} and {b!r}") from None
 
 
 def transmittance(loss_db: float) -> float:
@@ -302,16 +292,15 @@ def build_routing_graph(topology: PhysicalTopology, source: str,
 
     wss, transit_db = loss.wss_loss_db, 2 * loss.wss_loss_db
     fiber_db: dict[tuple[str, str], float] = {}
-    for link in topology.links:
-        km = link_distance(topology, link.a, link.b)
+    for (a, b), km in topology._km.items():
         db = loss.fiber_loss_db_per_km * km
         # The router refuses an infinite link; an overflow is the loss's.
         if math.isfinite(km) and not math.isfinite(transit_db + db):
             raise ValueError(
-                f"link {link.a}-{link.b}: hop loss 2 x wss_loss_db {wss:g} + "
+                f"link {a}-{b}: hop loss 2 x wss_loss_db {wss:g} + "
                 f"fiber_loss_db_per_km {loss.fiber_loss_db_per_km:g} x {km:g} km"
                 " is not finite")
-        fiber_db[link.a, link.b] = fiber_db[link.b, link.a] = db
+        fiber_db[a, b] = db
     # Each switch's hops in neighbour order, then its drop; fibers never
     # point at the source.
     edges: list[GraphEdge] = []
@@ -325,7 +314,7 @@ def build_routing_graph(topology: PhysicalTopology, source: str,
 
 __all__ = [
     "GraphEdge", "Link", "LossParams", "Node", "PhysicalTopology",
-    "RoutingGraph", "TopologyError", "build_routing_graph", "bundled_topology",
-    "gen_vertex", "link_distance", "load_topology", "mem_vertex",
-    "topology_from_dict", "transmittance",
+    "RoutingGraph", "TopologyError", "build_routing_graph", "gen_vertex",
+    "link_distance", "load_topology", "mem_vertex", "topology_from_dict",
+    "transmittance",
 ]

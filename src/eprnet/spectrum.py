@@ -30,10 +30,11 @@ class ChannelGrid:
     Channels are indexed 1..channel_count and placed symmetrically about
     ``center_wavelength_nm`` with spacing ``channel_pitch_nm``.  The pitch
     may exceed the channel width, leaving a guard band between channels.
+    An omitted width is 0.1 nm, or the pitch when that is tighter.
     """
 
     channel_count: int = 200
-    channel_width_nm: float = 0.1
+    channel_width_nm: float | None = None
     channel_pitch_nm: float = 0.2
     center_wavelength_nm: float = 1550.0
 
@@ -44,6 +45,8 @@ class ChannelGrid:
         if self.channel_count < 1:
             raise ValueError(f"channel_count must be >= 1, got {self.channel_count}")
         _check_positive("channel_pitch_nm", self.channel_pitch_nm)
+        if self.channel_width_nm is None:
+            object.__setattr__(self, "channel_width_nm", min(0.1, self.channel_pitch_nm))
         _check_positive("channel_width_nm", self.channel_width_nm)
         if self.channel_pitch_nm < self.channel_width_nm:
             raise ValueError(
@@ -56,11 +59,6 @@ class ChannelGrid:
             raise ValueError(
                 f"every channel center must be > 0 nm, got {bluest} nm for channel 1"
             )
-
-
-def rate_grid(count: int, pitch_nm: float) -> ChannelGrid:
-    """A sweep's grid: the default center and width, the width cut to a tighter pitch."""
-    return ChannelGrid(count, min(ChannelGrid.channel_width_nm, pitch_nm), pitch_nm)
 
 
 @dataclass(frozen=True)
@@ -164,8 +162,8 @@ def channel_bandwidth(grid: ChannelGrid, x: int) -> float:
 def generation_rates(grid: ChannelGrid, profile: SpectrumProfile) -> RateVector:
     """Evaluate the Gaussian profile at every channel center.
 
-    The rates read only the channel count and pitch.  A sweep's grid,
-    ``rate_grid``, is centered at 1550 nm: one reaching 0 nm is refused.
+    The rates read only the channel count and pitch.  A sweep's grid is
+    centered at 1550 nm: one reaching 0 nm is refused.
 
     Returns:
         RateVector of length ``grid.channel_count``; entry x-1 is the

@@ -6,7 +6,6 @@ stated wall-clock budget enforce it.
 """
 
 import itertools
-import json
 import math
 import random
 import subprocess
@@ -27,16 +26,15 @@ from eprnet import (
     all_pair_routes,
     bezakova_matching,
     build_routing_graph,
-    bundled_topology,
     channel_bandwidth,
     channel_center_frequency,
-    emit_csv,
     exact_maxmin,
     first_fit,
     fractional_optimum,
     gen_vertex,
     generation_rates,
     jain_index,
+    load_topology,
     lp_round,
     mem_vertex,
     modified_lpt,
@@ -54,6 +52,7 @@ from oracles import (
     lp_fractional_search,
     reference_received,
 )
+from test_golden import GOLDEN, GOLDEN_COMMANDS
 
 MASTER_SEED = 20260816
 
@@ -259,7 +258,7 @@ def test_strategy_ordering_on_small_mesh():
 def test_source_degree_drives_min_rate():
     with criterion(7, "source degree ordering on the 17-node network",
                    budget_s=600.0):
-        topology = bundled_topology("ilec17")
+        topology = load_topology("ilec17")
         def degree(i):
             return len(topology.neighbors(i))
 
@@ -301,7 +300,7 @@ def test_fairness_metric_properties():
             scaled = jain_index([scale * x for x in xs])
             assert scaled == pytest.approx(value, rel=1e-12)
 
-        topology = bundled_topology("simple6")
+        topology = load_topology("simple6")
         loss = LossParams(0.4, 8.0)
         grid = ChannelGrid(16)
         profile = SpectrumProfile()
@@ -323,49 +322,21 @@ def test_fairness_metric_properties():
         assert reference == pytest.approx(brute, rel=1e-12)
 
 
-_SWEEP_WORKER = (
-    "import sys; "
-    "from eprnet import config_from_json, emit_csv, run_placement_sweep; "
-    "cfg = config_from_json(sys.argv[1]); "
-    "emit_csv(run_placement_sweep(cfg), sys.argv[2])"
-)
-
-
 def test_sweep_determinism_across_processes(tmp_path):
+    # The in-process run of this sweep is the golden test of its CSV; here
+    # two concurrent processes must each write those bytes again.
     with criterion(9, "byte-identical sweeps, parallel included"):
-        topology_path = tmp_path / "ring4.json"
-        topology_path.write_text(json.dumps({
-            "name": "ring4",
-            "nodes": [{"id": n} for n in "abcd"],
-            "links": [{"a": "a", "b": "b", "distance_km": 2.0},
-                      {"a": "b", "b": "c", "distance_km": 3.0},
-                      {"a": "c", "b": "d", "distance_km": 1.5},
-                      {"a": "a", "b": "d", "distance_km": 2.5}],
-        }))
-        config_path = tmp_path / "sweep.json"
-        config_path.write_text(json.dumps({
-            "topology_path": str(topology_path),
-            "seed": 97531,
-            "wss_losses": [4.0, 8.0],
-            "strategies": list(ALL_STRATEGIES),
-            "runs": 3,
-            "channels": 10,
-        }))
-
-        from eprnet import config_from_json
-        serial = tmp_path / "serial.csv"
-        emit_csv(run_placement_sweep(config_from_json(config_path)), serial)
-
+        [argv] = GOLDEN_COMMANDS["ring4-criterion9.csv"]
         outputs = [tmp_path / "par1.csv", tmp_path / "par2.csv"]
         workers = [
-            subprocess.Popen([sys.executable, "-c", _SWEEP_WORKER,
-                              str(config_path), str(out)])
+            subprocess.Popen([sys.executable, "-m", "eprnet.cli", *argv,
+                              "--out", str(out)], stdout=subprocess.DEVNULL)
             for out in outputs
         ]
         for proc in workers:
             assert proc.wait(timeout=300) == 0
 
-        baseline = serial.read_bytes()
-        assert baseline.startswith(b"# eprnet sweep:")
+        golden = (GOLDEN / "ring4-criterion9.csv").read_bytes()
+        assert golden.startswith(b"# eprnet sweep:")
         for out in outputs:
-            assert out.read_bytes() == baseline
+            assert out.read_bytes() == golden

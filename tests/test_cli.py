@@ -50,6 +50,22 @@ def chain3(tmp_path):
     return str(path)
 
 
+def no_length(tmp_path):
+    """A triangle whose link a-b has no distance and a has no coordinates."""
+    doc = {"name": "nolength",
+           "nodes": [{"id": "a"}, {"id": "b", "x_km": 0.0, "y_km": 0.0},
+                     {"id": "c", "x_km": 1.0, "y_km": 0.0}],
+           "links": [{"a": "a", "b": "b"}, {"a": "b", "b": "c"},
+                     {"a": "c", "b": "a", "distance_km": 1.0}]}
+    path = tmp_path / "nolength.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+NO_LENGTH_ERROR = ("error: link a-b has no distance and endpoint coordinates "
+                   "are incomplete\n")
+
+
 class TestRates:
     def test_anchor_values_present(self, capsys):
         code, out, _ = run(capsys, "rates")
@@ -82,6 +98,29 @@ class TestRates:
             assert all(x != y for x, y in zip(a[1:4], b[1:4]))
         assert moved[0][1] == "1309.7000"
         assert plain.splitlines()[-1] == labelled.splitlines()[-1]
+
+    def test_pitch_tighter_than_the_default_width_runs(self, capsys):
+        # The width narrows to the pitch, as in `allocate` and `sweep`.
+        argv = ["rates", "--channels", "3", "--pitch-nm", "0.05"]
+        code, tight, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        _, explicit, _ = run(capsys, *argv, "--width-nm", "0.05")
+        assert ([line.split()[3] for line in tight.splitlines()[:-1]]
+                == [line.split()[3] for line in explicit.splitlines()[:-1]])
+        assert tight.splitlines()[0].split()[3] == "bw_GHz"
+
+    def test_width_wider_than_the_pitch_is_one_line_error(self, capsys):
+        code, out, err = run(capsys, "rates", "--channels", "4",
+                             "--pitch-nm", "0.2", "--width-nm", "0.3")
+        assert_one_line_error(code, err)
+        assert out == ""
+        assert "got 0.2 < 0.3" in err
+
+    def test_help_states_the_derived_width(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["rates", "--help"])
+        assert ("channel width in nm (default 0.1, or the pitch when tighter)"
+                in " ".join(capsys.readouterr().out.split()))
 
 
 class TestRoute:
@@ -193,6 +232,11 @@ class TestRoute:
         assert code == 1
         assert out == ""
         assert err == "error: a pair needs two distinct nodes\n"
+
+    def test_link_without_a_length_is_one_line_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "route", "--topology", no_length(tmp_path),
+                             "--source", "c")
+        assert (code, out, err) == (1, "", NO_LENGTH_ERROR)
 
 
 class TestAllocate:
@@ -334,6 +378,13 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--seed", "1")
         assert code == 1
         assert "error:" in err
+
+    def test_link_without_a_length_is_one_line_error(self, capsys, tmp_path):
+        out_csv = tmp_path / "x.csv"
+        code, out, err = run(capsys, "sweep", "--topology", no_length(tmp_path),
+                             "--seed", "1", "--out", str(out_csv))
+        assert (code, out, err) == (1, "", NO_LENGTH_ERROR)
+        assert not out_csv.exists()
 
     def test_flag_driven_sweep(self, capsys, tmp_path):
         out_csv = tmp_path / "sweep.csv"

@@ -492,6 +492,22 @@ class TestCsv:
             "runs", "seed", "status", "std_min_rate", "std_jain",
         ]
 
+    def test_rows_of_a_hash_named_topology_read_back(self, tmp_path):
+        # Each data row starts with the topology's name; only the comment
+        # line above the header is skipped.
+        path = tmp_path / "hash.json"
+        path.write_text(json.dumps({
+            "name": "#lab", "nodes": [{"id": i} for i in "abc"],
+            "links": [{"a": a, "b": b, "distance_km": 1.0}
+                      for a, b in ("ab", "bc", "ca")]}))
+        report = run_placement_sweep(small_config(
+            topology_path=str(path), runs=2, strategies=("lpt",), sources=None,
+            wss_losses=(4.0, 8.0)))
+        emit_csv(report, tmp_path / "hash.csv")
+        rows = read_csv_rows(tmp_path / "hash.csv")
+        assert len(rows) == len(report.rows) == 6
+        assert {row["topology"] for row in rows} == {"#lab"}
+
     def test_comment_line_names_inputs(self, tmp_path):
         config = small_config(runs=1, strategies=("lpt",), seed=31337)
         path = tmp_path / "out.csv"

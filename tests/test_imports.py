@@ -75,7 +75,7 @@ def test_public_api_is_pinned():
         "RoutingError", "RoutingGraph", "SPEED_OF_LIGHT_NM_THZ",
         "SpectrumProfile", "SweepRow", "TopologyError", "all_pair_routes",
         "allocate_once", "bezakova_matching",
-        "build_routing_graph", "bundled_topology", "channel_bandwidth",
+        "build_routing_graph", "channel_bandwidth",
         "channel_center_frequency", "channel_center_wavelength",
         "config_from_json", "derive_seed", "emit_csv",
         "emit_plot", "exact_maxmin", "first_fit", "fractional_optimum",

@@ -12,9 +12,9 @@ from eprnet import (
     SpectrumProfile,
     all_pair_routes,
     build_routing_graph,
-    bundled_topology,
     generation_rates,
     jain_index,
+    load_topology,
     normalization_reference,
     normalized_min_rate,
 )
@@ -121,7 +121,7 @@ class TestNormalizationReference:
         assert reference == pytest.approx(min(etas) * total, rel=1e-12)
 
     def test_simple6_brute_force(self, default_loss):
-        topology = bundled_topology("simple6")
+        topology = load_topology("simple6")
         grid = ChannelGrid(16, 0.1, 0.2, 1550.0)
         profile = SpectrumProfile(9.0, 1.0)
         rates = generation_rates(grid, profile)
@@ -218,7 +218,7 @@ class TestNormalizedMinRate:
     def test_can_exceed_one_on_simple6(self, default_loss):
         # The reference minimizes over placements; a well-placed source
         # serving only its best pair beats it.
-        topology = bundled_topology("simple6")
+        topology = load_topology("simple6")
         grid = ChannelGrid(16, 0.1, 0.2, 1550.0)
         profile = SpectrumProfile(9.0, 1.0)
         rates = generation_rates(grid, profile)

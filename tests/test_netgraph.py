@@ -3,11 +3,13 @@ import math
 import random
 import re
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eprnet
 from eprnet import (
     GraphEdge,
     Link,
@@ -17,7 +19,6 @@ from eprnet import (
     TopologyError,
     all_pair_routes,
     build_routing_graph,
-    bundled_topology,
     gen_vertex,
     link_distance,
     load_topology,
@@ -140,7 +141,7 @@ class TestGraphLayout:
     @pytest.mark.parametrize("fiber", [0.0, 0.4])
     @pytest.mark.parametrize("name", ["simple6", "ilec17"])
     def test_bundled_placements(self, name, fiber, wss):
-        topology, loss = bundled_topology(name), LossParams(fiber, wss)
+        topology, loss = load_topology(name), LossParams(fiber, wss)
         for source in topology.node_ids:
             assert _layout(build_routing_graph(topology, source, loss)) == _layout(
                 reference_hop_graph(topology, source, loss))
@@ -179,7 +180,7 @@ class TestSwitchGraphMatchesPortGraph:
     @pytest.mark.parametrize("fiber", [0.0, 0.4])
     @pytest.mark.parametrize("name", ["simple6", "ilec17"])
     def test_bundled_placements(self, name, fiber, wss):
-        topology, loss = bundled_topology(name), LossParams(fiber, wss)
+        topology, loss = load_topology(name), LossParams(fiber, wss)
         for source in topology.node_ids:
             assert _route_values(build_routing_graph(topology, source, loss)) == (
                 _route_values(reference_routing_graph(topology, source, loss)))
@@ -271,13 +272,13 @@ class TestLinkDistance:
         assert link_distance(topology, "a", "b") == 2.2
 
     def test_missing_everything(self):
-        topology = PhysicalTopology(
-            name="tnone",
-            nodes=(Node("a", None, None), Node("b", 3.0, 4.0)),
-            links=(Link("a", "b", None),),
-        )
-        with pytest.raises(TopologyError):
-            link_distance(topology, "a", "b")
+        # The length is resolved, or refused, when the topology is made.
+        with pytest.raises(TopologyError, match="^link a-b has no distance"):
+            PhysicalTopology(
+                name="tnone",
+                nodes=(Node("a", None, None), Node("b", 3.0, 4.0)),
+                links=(Link("a", "b", None),),
+            )
 
     def test_unknown_link(self, two_node):
         with pytest.raises(TopologyError):
@@ -416,6 +417,17 @@ class TestLoader:
         with pytest.raises(TopologyError):
             topology_from_dict(doc)
 
+    @pytest.mark.parametrize("ends", [{}, {"x_km": 1.0}, {"y_km": 1.0}])
+    def test_link_without_a_length_rejected_on_load(self, tmp_path, ends):
+        doc = self.base_doc()
+        doc["nodes"][1] = {"id": "b", **ends}
+        doc["links"][0].pop("distance_km")
+        path = tmp_path / "nolength.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(TopologyError, match="^link a-b has no distance and "
+                           "endpoint coordinates are incomplete$"):
+            load_topology(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_topology(tmp_path / "absent.json")
@@ -440,14 +452,14 @@ class TestLoader:
 
 class TestBundledTopologies:
     def test_simple6_shape(self):
-        topology = bundled_topology("simple6")
+        topology = load_topology("simple6")
         assert len(topology.node_ids) == 6
         assert len(topology.links) == 8
         degrees = sorted(len(topology.neighbors(i)) for i in topology.node_ids)
         assert degrees == [2, 2, 3, 3, 3, 3]
 
     def test_ilec17_degree_profile(self):
-        topology = bundled_topology("ilec17")
+        topology = load_topology("ilec17")
         assert len(topology.node_ids) == 17
         assert len(topology.links) == 110
         degrees = {i: len(topology.neighbors(i)) for i in topology.node_ids}
@@ -459,11 +471,11 @@ class TestBundledTopologies:
         assert all(degrees[i] == 14 for i in "ABCDEFGHIJKL")
 
     def test_load_by_bare_name(self):
-        assert load_topology("simple6").name == "simple6"
-
-    def test_unknown_bundle(self):
-        with pytest.raises(TopologyError):
-            bundled_topology("mystery9")
+        # A bare bundled name reads the file packaged with eprnet.
+        packaged = Path(eprnet.__file__).parent / "data" / "simple6.json"
+        topology = load_topology("simple6")
+        assert topology == topology_from_dict(json.loads(packaged.read_text()))
+        assert topology.name == "simple6"
 
 
 class TestTopologyValidation:

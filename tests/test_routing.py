@@ -18,8 +18,8 @@ from eprnet import (
     RoutingGraph,
     all_pair_routes,
     build_routing_graph,
-    bundled_topology,
     gen_vertex,
+    load_topology,
     mem_vertex,
     route_nodes,
     topology_from_dict,
@@ -269,7 +269,7 @@ class TestPairRoutes:
 
 class TestRouteTables:
     def test_simple6_all_pairs_feasible(self, default_loss):
-        topology = bundled_topology("simple6")
+        topology = load_topology("simple6")
         graph = build_routing_graph(topology, "A", default_loss)
         table = all_pair_routes(graph)
         assert table.source == "A"
@@ -283,7 +283,7 @@ class TestRouteTables:
                                              rel=1e-12)
 
     def test_ilec17_all_pairs_feasible(self, default_loss):
-        topology = bundled_topology("ilec17")
+        topology = load_topology("ilec17")
         graph = build_routing_graph(topology, "M", default_loss)
         table = all_pair_routes(graph)
         assert len(table.plans) == math.comb(17, 2)
@@ -395,9 +395,9 @@ class TestRouteIdentity:
             infeasible += len(table.infeasible)
         assert feasible > 0 and infeasible > 0
 
-    @pytest.mark.parametrize("source", bundled_topology("ilec17").node_ids)
+    @pytest.mark.parametrize("source", load_topology("ilec17").node_ids)
     def test_every_ilec17_placement(self, source, default_loss):
-        graph = build_routing_graph(bundled_topology("ilec17"), source,
+        graph = build_routing_graph(load_topology("ilec17"), source,
                                     default_loss)
         table = all_pair_routes(graph)
         assert table == reference_route_table(graph)
@@ -408,7 +408,7 @@ class TestRouteIdentity:
         # Every route is lossless, so every edge-disjoint pair ties and
         # only the tie rules pick one: the heaviest tie case a second pass
         # shared by all pairs of one first memory meets.
-        topology = bundled_topology(name)
+        topology = load_topology(name)
         for source in topology.node_ids:
             graph = build_routing_graph(topology, source, LossParams(0.0, 0.0))
             assert all_pair_routes(graph) == reference_route_table(graph)
@@ -439,10 +439,10 @@ class TestSecondPassPerFirstMemory:
     """One first pass per placement, then one second pass per memory that
     pops before another, shared by all of that memory's pairs."""
 
-    @pytest.mark.parametrize("source", bundled_topology("ilec17").node_ids)
+    @pytest.mark.parametrize("source", load_topology("ilec17").node_ids)
     def test_ilec17_runs_one_pass_per_memory(self, source, default_loss,
                                              monkeypatch):
-        graph = build_routing_graph(bundled_topology("ilec17"), source,
+        graph = build_routing_graph(load_topology("ilec17"), source,
                                     default_loss)
         table, runs, firsts = _route_counting_passes(monkeypatch, graph)
         assert table.infeasible == ()
@@ -487,7 +487,7 @@ class TestRoutesNeverUTurn:
     @pytest.mark.parametrize("fiber", [0.0, 0.4])
     @pytest.mark.parametrize("name", ["simple6", "ilec17"])
     def test_bundled_topologies(self, name, fiber, wss):
-        topology = bundled_topology(name)
+        topology = load_topology(name)
         for source in topology.node_ids:
             graph = build_routing_graph(topology, source, LossParams(fiber, wss))
             assert _u_turns(graph, all_pair_routes(graph)) == []

@@ -13,7 +13,6 @@ from eprnet import (
     channel_center_wavelength,
     generation_rates,
 )
-from eprnet.spectrum import rate_grid
 
 C = 299792.458  # nm * THz, independent copy for oracle arithmetic
 
@@ -158,17 +157,20 @@ class TestGenerationRates:
 
 
 class TestRateGrid:
+    """The grid the rates are computed on: an omitted width is derived."""
+
     def test_width_narrows_to_a_tighter_pitch(self):
-        # A sweep's grid: 1550 nm center, 0.1 nm channels, or the pitch.
-        assert rate_grid(200, 0.2) == ChannelGrid()
-        assert rate_grid(40, 0.3) == ChannelGrid(40, 0.1, 0.3, 1550.0)
-        assert rate_grid(40, 0.05) == ChannelGrid(40, 0.05, 0.05, 1550.0)
+        # 0.1 nm channels, or as wide as the pitch when it is tighter.
+        assert ChannelGrid().channel_width_nm == 0.1
+        assert ChannelGrid(200, None, 0.2) == ChannelGrid(200, 0.1, 0.2, 1550.0)
+        assert ChannelGrid(40, channel_pitch_nm=0.3) == ChannelGrid(40, 0.1, 0.3, 1550.0)
+        assert ChannelGrid(40, channel_pitch_nm=0.05) == ChannelGrid(40, 0.05, 0.05, 1550.0)
 
     @pytest.mark.parametrize("pitch", [0.0, -0.5, math.nan, math.inf])
     def test_bad_pitch_is_named(self, pitch):
         # The pitch is checked before the width it sets.
         with pytest.raises(ValueError, match="^channel_pitch_nm must be finite"):
-            rate_grid(40, pitch)
+            ChannelGrid(40, channel_pitch_nm=pitch)
 
 
 class TestValidation:
@@ -177,8 +179,8 @@ class TestValidation:
             ChannelGrid(channel_count=0)
         with pytest.raises(ValueError):
             ChannelGrid(channel_width_nm=0.0)
-        with pytest.raises(ValueError):
-            ChannelGrid(channel_width_nm=0.3, channel_pitch_nm=0.2)
+        with pytest.raises(ValueError, match="got 0.2 < 0.3$"):
+            ChannelGrid(4, 0.3, 0.2)
         with pytest.raises(ValueError):
             ChannelGrid(center_wavelength_nm=-1.0)
 
