@@ -162,6 +162,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = config_from_json(args.config, **given)
     out = config.output_path or "sweep.csv"
     # Refused before the sweep, so a bad path costs no sweep and leaves no file.
+    if args.plot and os.path.realpath(args.plot) == os.path.realpath(out):
+        raise ConfigError(f"cannot write {args.plot}: the CSV and the plot share it")
     for path in filter(None, (out, args.plot)):
         if os.path.isdir(path):
             raise ConfigError(f"cannot write {path}: it is a directory")

@@ -4,8 +4,9 @@ A sweep walks every combination of switch loss, source placement, and
 allocation strategy on one topology.  Order-sensitive strategies, whose
 outcome depends on the order node pairs are processed in, are averaged over
 many runs, each with a freshly shuffled pair order; the others run once.
-A run takes its rates from its row's kernel, if any, else ``allocate_once``;
-the exact solver's first proven optimum becomes its row's kernel.
+Every run takes its rates from its row's kernel: first-fit's, round-robin's
+and random's own, else the rates of one ``allocate_once`` call at the row's
+first seed, so an exact row makes one search.
 
 Randomness policy: every run's seed is derived from the master seed and
 the (loss, source, strategy, run) indices through a splitmix64 chain, and
@@ -59,13 +60,12 @@ class ConfigError(ValueError):
 # and strategies lists, not from this table.  run(instance, seed, node_budget)
 # returns an Allocation, or the exact search's ExactResult; it
 # looks its allocation function up here when called, so patching this
-# module's attribute reaches allocate_once and the sweep runs of a strategy
+# module's attribute reaches allocate_once and each sweep row of a strategy
 # without a row.  A sweep calls row(instance) once per row for kernel(seed),
-# run's received rates bit for bit.  The seed's draw, a pair order or
-# random's channel shuffle, is made in allocation.
-# Gated (exact-only) strategies get a "budget" row, without running, beyond
-# exact_max_mk channels times pairs; their first proven optimum becomes the
-# row's kernel and serves the remaining runs without searching again.
+# run's received rates bit for bit; a strategy without one runs once per
+# row.  The seed's draw, a pair order or random's channel shuffle, is made
+# in allocation.  Gated (exact-only) strategies get a "budget" row, without
+# running, beyond exact_max_mk channels times pairs.
 _STRATEGIES = {
     "exact": (lambda inst, seed, node_budget:
               exact_maxmin(inst, pair_order=_pair_order(inst.pair_count, seed),
@@ -317,23 +317,19 @@ def _run_strategy(config: ExperimentConfig, instance: AllocationInstance | None,
     if gated and instance.channel_count * instance.pair_count > config.exact_max_mk:
         return "budget", [], []
 
+    if row:
+        status, kernel = "ok", row(instance)
+    else:  # one run, at run 0's seed, serves the row; budget if it stopped
+        allocation, completed = allocate_once(
+            instance, strategy, seed=splitmix64(row_seed ^ 0),
+            node_budget=config.exact_node_budget)
+        status = "ok" if completed else "budget"
+        kernel = lambda _, received=allocation.received: received
     min_rates: list[float] = []
     jains: list[float] = []
-    status = "ok"
-    kernel = row(instance) if row else None
     for run_idx in range(config.runs if order_sensitive else 1):
         # derive_seed's chain, its last step taken here per run.
-        seed = splitmix64(row_seed ^ run_idx)
-        if kernel:
-            received = kernel(seed)
-        else:
-            allocation, completed = allocate_once(
-                instance, strategy, seed=seed, node_budget=config.exact_node_budget)
-            received = allocation.received
-            if not completed:
-                status = "budget"
-            elif gated:
-                kernel = lambda _, proven=received: proven
+        received = kernel(splitmix64(row_seed ^ run_idx))
         min_rates.append(min(received))
         jains.append(jain_index(received))
     return status, min_rates, jains

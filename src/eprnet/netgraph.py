@@ -100,6 +100,9 @@ class PhysicalTopology:
     links: tuple[Link, ...]
 
     def __post_init__(self) -> None:
+        # The sweep CSV's comment line carries the name.
+        if "\n" in self.name or "\r" in self.name:
+            raise TopologyError(f"topology name must be one line, got {self.name!r}")
         by_id = {n.id: n for n in self.nodes}
         if len(by_id) != len(self.nodes):
             raise TopologyError(f"duplicate node ids in topology {self.name!r}")
@@ -223,16 +226,6 @@ def load_topology(path: str | Path) -> PhysicalTopology:
     return topology_from_dict(json.loads(text))
 
 
-def link_distance(topology: PhysicalTopology, a: str, b: str) -> float:
-    """Length in km of the link between a and b, as the topology resolved
-    it: the stored distance, else the Euclidean distance between the
-    endpoints' coordinates."""
-    try:
-        return topology._km[a, b]
-    except KeyError:
-        raise TopologyError(f"no link between {a!r} and {b!r}") from None
-
-
 def transmittance(loss_db: float) -> float:
     """Convert a loss in dB to a power/probability transmittance."""
     if not (0 <= loss_db < math.inf):  # also rejects NaN
@@ -315,6 +308,5 @@ def build_routing_graph(topology: PhysicalTopology, source: str,
 __all__ = [
     "GraphEdge", "Link", "LossParams", "Node", "PhysicalTopology",
     "RoutingGraph", "TopologyError", "build_routing_graph", "gen_vertex",
-    "link_distance", "load_topology", "mem_vertex", "topology_from_dict",
-    "transmittance",
+    "load_topology", "mem_vertex", "topology_from_dict", "transmittance",
 ]

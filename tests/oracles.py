@@ -41,7 +41,6 @@ from eprnet import (
     first_fit,
     fractional_optimum,
     gen_vertex,
-    link_distance,
     mem_vertex,
     modified_lpt,
     transmittance,
@@ -624,6 +623,16 @@ def reference_route_table(graph: RoutingGraph) -> RouteTable:
 # port-level build whose values the hop edges must keep.
 
 
+def link_km(topology: PhysicalTopology, a: str, b: str) -> float:
+    """The link a-b's length: its stored distance_km, else the Euclidean
+    distance between its endpoints' coordinates."""
+    (link,) = [link for link in topology.links if {link.a, link.b} == {a, b}]
+    if link.distance_km is not None:
+        return link.distance_km
+    na, nb = topology.node(a), topology.node(b)
+    return math.hypot(na.x_km - nb.x_km, na.y_km - nb.y_km)
+
+
 def reference_hop_graph(topology: PhysicalTopology, source: str,
                         loss: LossParams) -> RoutingGraph:
     """The loss graph for one source: one switch vertex per consumer, with
@@ -644,7 +653,7 @@ def reference_hop_graph(topology: PhysicalTopology, source: str,
     for i in node_ids:
         for k in topology.neighbors(i):
             if k != source:
-                fiber_db = loss.fiber_loss_db_per_km * link_distance(topology, i, k)
+                fiber_db = loss.fiber_loss_db_per_km * link_km(topology, i, k)
                 edges.append(GraphEdge(switch(i), switch(k), 2 * wss, fiber_db,
                                        "fiber"))
         edges.append(GraphEdge(switch(i), mem_vertex(i), wss, 0.0, "drop"))
@@ -680,7 +689,7 @@ def reference_routing_graph(topology: PhysicalTopology, source: str,
     edges = []
     wss = loss.wss_loss_db
     for link in sorted(topology.links, key=lambda l: tuple(sorted((l.a, l.b)))):
-        dist = link_distance(topology, link.a, link.b)
+        dist = link_km(topology, link.a, link.b)
         fiber_db = loss.fiber_loss_db_per_km * dist
         for tail_node, head_node in ((link.a, link.b), (link.b, link.a)):
             if head_node == source:

@@ -386,6 +386,22 @@ class TestSweep:
         assert (code, out, err) == (1, "", NO_LENGTH_ERROR)
         assert not out_csv.exists()
 
+    def test_topology_name_with_a_line_break_is_one_line_error(self, capsys,
+                                                                tmp_path):
+        # The name would split the CSV's comment line.
+        path = tmp_path / "lab.json"
+        path.write_text(json.dumps({
+            "name": "lab\nx,y", "nodes": [{"id": i} for i in "abc"],
+            "links": [{"a": a, "b": b, "distance_km": 1.0}
+                      for a, b in ("ab", "bc", "ca")]}))
+        out_csv = tmp_path / "x.csv"
+        code, out, err = run(capsys, "sweep", "--topology", str(path),
+                             "--seed", "1", "--runs", "2", "--strategies", "lpt",
+                             "--out", str(out_csv))
+        assert (code, out, err) == (
+            1, "", "error: topology name must be one line, got 'lab\\nx,y'\n")
+        assert not out_csv.exists()
+
     def test_flag_driven_sweep(self, capsys, tmp_path):
         out_csv = tmp_path / "sweep.csv"
         plot = tmp_path / "sweep.svg"
@@ -604,6 +620,19 @@ class TestSweep:
         assert paths[flag] in err
         assert out == ""
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir"]
+
+    @pytest.mark.parametrize("plot", ["same.txt", "./same.txt", "link.txt"])
+    def test_csv_and_plot_on_one_file_refused(self, capsys, tmp_path, no_sweep,
+                                              monkeypatch, plot):
+        # The plot would overwrite the CSV, however the path is spelt.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "link.txt").symlink_to(tmp_path / "same.txt")
+        code, out, err = run(capsys, "sweep", "--topology", "simple6",
+                             "--seed", "1", "--runs", "2",
+                             "--out", "same.txt", "--plot", plot)
+        assert_one_line_error(code, err)
+        assert plot in err and out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt"]
 
     def test_output_path_from_config_checked_too(self, capsys, tmp_path,
                                                  no_sweep):

@@ -364,9 +364,11 @@ class TestSweep:
         # simple6/A with 32 channels for its 15 pairs: its search cannot
         # close at the root (it stops at 5,000 nodes in the allocate
         # golden), whereas source B's closes there, and with fewer channels
-        # than pairs the seed would be optimal at the root.  No run
-        # completes, so each one searches with its own pair order.
+        # than pairs the seed would be optimal at the root.  The row makes
+        # one search, with run 0's pair order, and its best allocation
+        # serves both runs.
         from eprnet import harness
+        from eprnet.allocation import _pair_order
         calls = []
         exact = harness.exact_maxmin
 
@@ -377,18 +379,17 @@ class TestSweep:
         monkeypatch.setattr(harness, "exact_maxmin", counting)
         config = small_config(strategies=("exact",), runs=2, channels=32,
                               sources=("A",), exact_node_budget=1)
-        report = run_placement_sweep(config)
-        assert all(r.status == "budget" and r.runs == 2
-                   and r.mean_min_rate is not None for r in report.rows)
-        assert len(calls) == 2 * len(report.rows)
-        assert len(set(calls)) == len(calls)
+        (row,) = run_placement_sweep(config).rows
+        assert calls == [_pair_order(15, derive_seed(config.seed, 0, 0, 0, 0))]
+        assert (row.status, row.runs, row.std_min_rate) == ("budget", 2, 0.0)
+        assert row.mean_min_rate is not None
 
     def test_strategies_run_through_module_names(self, monkeypatch):
-        # Patching a harness attribute must reach every sweep run of a
+        # Patching a harness attribute must reach every sweep row of a
         # strategy without a row kernel (the benchmark's tracer relies on
-        # it).  The exact search runs once: its first proven optimum serves
-        # the other two runs.  First-fit, round-robin and random run their
-        # row kernels and never call the public functions.
+        # it).  Each such strategy runs once per row: exact's one search
+        # serves all three runs.  First-fit, round-robin and random run
+        # their row kernels and never call the public functions.
         from eprnet import harness
         calls = []
         for name in ("exact_maxmin", "modified_lpt", "bezakova_matching",

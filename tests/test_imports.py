@@ -80,7 +80,7 @@ def test_public_api_is_pinned():
         "config_from_json", "derive_seed", "emit_csv",
         "emit_plot", "exact_maxmin", "first_fit", "fractional_optimum",
         "gen_vertex", "generation_rates", "jain_index",
-        "link_distance", "load_topology", "lp_round", "mem_vertex",
+        "load_topology", "lp_round", "mem_vertex",
         "modified_lpt", "normalization_reference",
         "normalized_min_rate", "random_balanced", "read_csv_rows",
         "round_robin", "route_nodes",

@@ -20,7 +20,6 @@ from eprnet import (
     all_pair_routes,
     build_routing_graph,
     gen_vertex,
-    link_distance,
     load_topology,
     mem_vertex,
     topology_from_dict,
@@ -254,6 +253,14 @@ class TestHopLossOverflow:
         assert {edge.fiber_db for edge in graph.edges} == {0.0, wss}
 
 
+def hop_km(topology: PhysicalTopology) -> float:
+    """The fiber hop a -> b's loss at 1 dB/km and lossless switches: the
+    link's length in km, as the topology resolved it."""
+    graph = build_routing_graph(topology, "a", LossParams(1.0, 0.0))
+    (hop,) = [edge for edge in graph.edges if edge.kind == "fiber"]
+    return hop.fiber_db
+
+
 class TestLinkDistance:
     def test_euclidean_fallback(self):
         topology = PhysicalTopology(
@@ -261,7 +268,7 @@ class TestLinkDistance:
             nodes=(Node("a", 0.0, 0.0), Node("b", 3.0, 4.0)),
             links=(Link("a", "b", None),),
         )
-        assert link_distance(topology, "a", "b") == pytest.approx(5.0)
+        assert hop_km(topology) == pytest.approx(5.0)
 
     def test_stored_distance_wins(self):
         topology = PhysicalTopology(
@@ -269,7 +276,7 @@ class TestLinkDistance:
             nodes=(Node("a", 0.0, 0.0), Node("b", 3.0, 4.0)),
             links=(Link("a", "b", 2.2),),
         )
-        assert link_distance(topology, "a", "b") == 2.2
+        assert hop_km(topology) == 2.2
 
     def test_missing_everything(self):
         # The length is resolved, or refused, when the topology is made.
@@ -279,10 +286,6 @@ class TestLinkDistance:
                 nodes=(Node("a", None, None), Node("b", 3.0, 4.0)),
                 links=(Link("a", "b", None),),
             )
-
-    def test_unknown_link(self, two_node):
-        with pytest.raises(TopologyError):
-            link_distance(two_node, "s", "s")
 
 
 # What json.load can return: its floats include nan and inf, and its ints
@@ -498,4 +501,11 @@ class TestTopologyValidation:
         assert one == two and hash(one) == hash(two)
         assert repr(one) == (
             f"PhysicalTopology(name='ab', nodes={nodes!r}, links={links!r})")
-        assert link_distance(one, "b", "a") == 5.0
+
+    @pytest.mark.parametrize("name", ["lab\nx,y", "lab\r", "\r\n"])
+    def test_name_with_a_line_break_refused(self, name):
+        # The sweep CSV's comment line carries the name.
+        with pytest.raises(TopologyError) as exc:
+            PhysicalTopology(name, (Node("a", 0.0, 0.0), Node("b", 1.0, 0.0)),
+                             (Link("a", "b"),))
+        assert str(exc.value) == f"topology name must be one line, got {name!r}"
